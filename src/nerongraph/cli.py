@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any
 
 from . import __version__
-from .errors import BadModulus, NeronGraphError, ParseError
-from .graph import MultiGraph
+from .errors import BadModulus, BoundsTooLarge, NeronGraphError, ParseError
+from .graph import MultiGraph, total_genus
 from .invariants import (
     AnalysisReport,
     ReductionData,
@@ -57,6 +58,17 @@ def _expect(value: Any, kind: type, path: str) -> Any:
     if kind is not int and not isinstance(value, kind):
         raise ParseError(f"{path}: expected {names.get(kind, kind.__name__)}, got {value!r}")
     return value
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """``object_pairs_hook`` for :func:`json.loads` that refuses a key
+    given twice in one object instead of keeping the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"{key}: duplicate key")
+        obj[key] = value
+    return obj
 
 
 def _known_keys(obj: dict, allowed: set[str], path: str) -> None:
@@ -148,6 +160,32 @@ def normalized_document(name: str, data: ReductionData) -> dict:
     return doc
 
 
+def _too_long_to_print(n: int) -> bool:
+    """Whether ``str(n)`` would pass the interpreter's limit on printed
+    digits (``sys.get_int_max_str_digits()``; 0 means no limit)."""
+    limit = sys.get_int_max_str_digits()
+    # 2^(3 * limit) < 10^limit, so short numbers skip the exact test.
+    return limit != 0 and n.bit_length() > 3 * limit and n >= 10 ** limit
+
+
+def _check_printable(data: ReductionData) -> None:
+    """Raise :class:`BoundsTooLarge` when the generic torsion count
+    r^(2 * genus), the largest count a report prints, is too long to
+    print.  This runs before the count is computed, so a huge genus
+    costs nothing."""
+    limit = sys.get_int_max_str_digits()
+    genus, r = total_genus(data.graph), data.r
+    if limit == 0 or r == 1:
+        return
+    # r^k has floor(k * log10(r)) + 1 digits; decide exactly near the limit.
+    estimate = 2 * genus * math.log10(r)
+    if estimate > limit + 1 or (estimate > limit - 1 and _too_long_to_print(r ** (2 * genus))):
+        raise BoundsTooLarge(
+            f"genus, r: total genus {genus} with r = {r} gives a torsion count "
+            f"r^(2 * genus) of more than {limit} digits, too long to print"
+        )
+
+
 def report_document(name: str, data: ReductionData, report: AnalysisReport) -> dict:
     return {
         "tool": {"name": "nerongraph", "version": __version__},
@@ -222,17 +260,31 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         print(f"error: {args.path}: line {exc.lineno}, column {exc.colno}: {exc.msg}",
               file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"error: {args.path}: arrays or objects nested too deeply", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # an integer literal past the digit limit
+        print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 2
     name, data = parse_input_document(obj)
     if args.r is not None:
         data = ReductionData(
             graph=data.graph, r=args.r, m1=data.m1, multidegree=data.multidegree
         )
+    _check_printable(data)
     report = analyze(data)
+    # c and the factors of Phi divide its order; every other number in the
+    # report is bounded by the input or was checked above.
+    if _too_long_to_print(report.phi.order):
+        raise BoundsTooLarge(
+            "edges: the thicknesses give a component group whose order has "
+            f"more than {sys.get_int_max_str_digits()} digits, too long to print"
+        )
     if args.format == "machine":
         print(json.dumps(report_document(name, data, report), indent=2))
     else:

@@ -82,7 +82,8 @@ def _canonical_pairs(n: int, pairs: Sequence[Pair]) -> tuple[Pair, ...]:
         )
         if best is None or candidate < best:
             best = candidate
-    assert best is not None
+    if best is None:  # the product always holds at least one assignment
+        raise ValueError("no relabelling of the edge multiset was tried")
     return best
 
 

@@ -68,7 +68,8 @@ class BadModulus(NeronGraphError):
 
 
 class BoundsTooLarge(NeronGraphError):
-    """Requested exhaustive-enumeration bounds exceed the guarded limits."""
+    """Requested exhaustive-enumeration bounds, or an input's size,
+    exceed the guarded limits."""
 
 
 class ParseError(NeronGraphError):

@@ -458,11 +458,14 @@ def enumerate_circuits(g: MultiGraph, limit: int = DEFAULT_CIRCUIT_LIMIT) -> lis
     return sorted(found.values(), key=lambda c: c._key)
 
 
-def _spanning_tree(g: MultiGraph) -> tuple[set[int], dict[int, tuple[int, int]]]:
-    """Breadth-first spanning tree from the least vertex.
+def spanning_tree(g: MultiGraph) -> tuple[set[int], dict[int, tuple[int, int]]]:
+    """Breadth-first spanning tree from the least vertex, with edges
+    scanned in input order.
 
     Returns the set of tree edge indices and, for every non-root vertex
-    index, its ``(parent vertex index, connecting edge index)``.
+    index, its ``(parent vertex index, connecting edge index)``; the
+    parent table lists the vertices in breadth-first order, so every
+    vertex comes after its parent.
     """
     root = g.vertex_index(g.least_vertex())
     parent: dict[int, tuple[int, int]] = {}
@@ -522,7 +525,7 @@ def fundamental_cycle_basis(g: MultiGraph) -> list[Circuit]:
     integral basis of the kernel of the boundary map, so there are
     exactly ``betti1(g)`` of them.
     """
-    tree, parent = _spanning_tree(g)
+    tree, parent = spanning_tree(g)
     basis = []
     for i, e in enumerate(g.edges):
         if i in tree:
@@ -536,8 +539,8 @@ def fundamental_cycle_basis(g: MultiGraph) -> list[Circuit]:
     return basis
 
 
-def _maximal_chain_lengths(g: MultiGraph) -> list[int]:
-    """Edge counts of the maximal chains of the graph.
+def maximal_chains(g: MultiGraph) -> list[list[int]]:
+    """Edge indices of the maximal chains of the graph.
 
     A chain is a path whose interior vertices have degree exactly 2,
     running between vertices of degree != 2 (possibly the same vertex,
@@ -548,30 +551,28 @@ def _maximal_chain_lengths(g: MultiGraph) -> list[int]:
     if not branch:
         # Connected with all degrees 2: a single cycle (a lone loop and a
         # pair of parallel edges are the degenerate cases).
-        return [g.n_edges]
-    lengths = []
+        return [list(range(g.n_edges))]
+    chains = []
     visited: set[int] = set()
     branch_set = set(branch)
     for b in branch:
         for ei in g._loops_at[b]:
             visited.add(ei)
-            lengths.append(1)
+            chains.append([ei])
         for ei, w in g._adjacency[b]:
             if ei in visited:
                 continue
             visited.add(ei)
-            length = 1
+            chain = [ei]
             cur = w
-            prev_edge = ei
             while cur not in branch_set:
-                nxt = next(
-                    (j, x) for j, x in g._adjacency[cur] if j != prev_edge
+                prev_edge, cur = next(
+                    (j, x) for j, x in g._adjacency[cur] if j != chain[-1]
                 )
-                prev_edge, cur = nxt[0], nxt[1]
                 visited.add(prev_edge)
-                length += 1
-            lengths.append(length)
-    return lengths
+                chain.append(prev_edge)
+            chains.append(chain)
+    return chains
 
 
 def is_r_divided(g: MultiGraph, r: int) -> bool:
@@ -586,7 +587,7 @@ def is_r_divided(g: MultiGraph, r: int) -> bool:
         raise ValueError("r must be a positive integer")
     if r == 1:
         return True
-    return all(length % r == 0 for length in _maximal_chain_lengths(g))
+    return all(len(chain) % r == 0 for chain in maximal_chains(g))
 
 
 def thickness_subdivision(g: MultiGraph) -> MultiGraph:

@@ -326,7 +326,9 @@ def solve_mod(a: IntMatrix, b: Sequence[int], q: int) -> tuple[int, ...] | None:
     Diagonalising with U a V = D turns the system into independent
     congruences d_i y_i = (U b)_i (mod q); kernels and images modulo a
     composite q come out of the integer Smith form directly, with no
-    per-prime decomposition.
+    per-prime decomposition.  A solution is checked against the system
+    before it is returned; :class:`ArithmeticError` means the Smith
+    decomposition was wrong.
     """
     _check_modulus(q)
     if len(b) != a.rows:
@@ -348,7 +350,8 @@ def solve_mod(a: IntMatrix, b: Sequence[int], q: int) -> tuple[int, ...] | None:
             if qg > 1:
                 y[i] = (rhs // g) * pow(d_i // g, -1, qg) % qg
     x = tuple(value % q for value in snf.v.apply(y))
-    assert all((lhs - rhs) % q == 0 for lhs, rhs in zip(a.apply(x), b))
+    if any((lhs - rhs) % q != 0 for lhs, rhs in zip(a.apply(x), b)):
+        raise ArithmeticError("solve_mod: the Smith form gave a non-solution")
     return x
 
 

@@ -13,16 +13,37 @@ and the indices
 are computed, together with the finiteness verdicts for the r-torsion
 group scheme and for the torsor of r-th roots of a line bundle.
 
-The circuit invariant feeding m2 and the verdicts lives on the dual
-graph of the *minimal regular model*, which is the thickness subdivision
-of the given graph (a node of thickness eta resolves into a chain of
-eta - 1 rational curves).  For unit thicknesses, the common case and the
-one of every worked example, the subdivision is the graph itself.  The
-thickness invariant t instead reads the thicknesses off the given
-(stable) graph.  Keeping the two models straight is what makes the
-divisibility chain m1 | m2 | m3 | r*m1 hold for arbitrary thicknesses:
-every edge shared by two circuits is nonseparating, so t divides every
-thickness-weighted intersection number and hence c.
+The component group Phi, the circuit invariant c and the verdicts live
+on the dual graph of the *minimal regular model*, which is the thickness
+subdivision of the given graph (a node of thickness eta resolves into a
+chain of eta - 1 rational curves).  The subdivision has the same cycle
+lattice as the given graph, with the pairing weighted by thickness, so
+everything here is read off one object built on the given graph: the
+thickness-weighted pairing
+
+    G_ij = sum over edges e of thickness(e) * gamma_i(e) * gamma_j(e)
+
+on a fundamental cycle basis gamma_1, ..., gamma_b1 (Grothendieck's
+monodromy pairing, SGA 7 IX; see :class:`CyclePairing`).
+
+* Phi is the cokernel of G, read off its Smith diagonal.
+* c is the gcd of the entries of G.
+* The edges in the support of the basis are exactly the nonseparating
+  ones; t is the gcd of their thicknesses.
+* A multidegree lies in the image of the regular model's intersection
+  matrix modulo r exactly when the pairing of the basis with a tree flow
+  bounding it lies in the image of G modulo r.
+* The regular model is r-divided exactly when every maximal chain of the
+  given graph has total thickness divisible by r.
+
+The cost thus follows the size of the graph, not its thicknesses.  The
+subdivision itself stays available as
+:func:`~nerongraph.graph.thickness_subdivision` and serves the tests as
+an independent oracle for all of the above.  The thickness invariant t
+reads the given (stable) graph.  Keeping the two models straight is what
+makes the divisibility chain m1 | m2 | m3 | r*m1 hold for arbitrary
+thicknesses: every edge shared by two circuits is nonseparating, so t
+divides every entry of G and hence c.
 """
 
 from __future__ import annotations
@@ -30,9 +51,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .component_group import AbelianGroup, phi_group, phi_r_torsion
+from .component_group import AbelianGroup
 from .errors import (
     InvalidReductionData,
     MissingMultidegree,
@@ -40,18 +61,17 @@ from .errors import (
     StabilizerMismatch,
 )
 from .graph import (
-    EdgeId,
     MultiGraph,
     VertexId,
     betti1,
     enumerate_circuits,
     fundamental_cycle_basis,
-    is_nonseparating,
     is_r_divided,
-    thickness_subdivision,
+    maximal_chains,
+    spanning_tree,
     total_genus,
 )
-from .homology import image_contains_mod, intersection_matrix
+from .homology import IntMatrix, smith_normal_form, solve_mod
 
 
 @dataclass(frozen=True)
@@ -119,10 +139,101 @@ def _gcd_all(values) -> int:
     return reduce(gcd, values, 0)
 
 
+class CyclePairing:
+    """The thickness-weighted pairing on a fundamental cycle basis.
+
+    ``cycles[i]`` maps the edge indices of the i-th cycle of
+    :func:`fundamental_cycle_basis` to their coefficients +1 or -1, and
+    ``gram`` is the b1 x b1 matrix of
+    ``G_ij = sum_e thickness(e) * cycles[i][e] * cycles[j][e]``.  It is
+    the unweighted pairing of the corresponding cycles of the thickness
+    subdivision, so it presents the component group of the minimal
+    regular model.  ``support`` holds the edges on some basis cycle,
+    which are exactly the nonseparating edges, and ``parent`` is the
+    table of :func:`spanning_tree` that the basis closes up.
+    """
+
+    __slots__ = ("graph", "cycles", "gram", "support", "parent")
+
+    def __init__(self, g: MultiGraph) -> None:
+        cycles = tuple(
+            {g.edge_index(e): d for e, d in circuit.traversals}
+            for circuit in fundamental_cycle_basis(g)
+        )
+        through: dict[int, list[tuple[int, int]]] = {}
+        for i, cycle in enumerate(cycles):
+            for ei, sign in cycle.items():
+                through.setdefault(ei, []).append((i, sign))
+        b = len(cycles)
+        gram = [[0] * b for _ in range(b)]
+        thickness = g.edge_thickness
+        for ei, members in through.items():
+            eta = thickness[g.edges[ei].id]
+            for i, si in members:
+                row = gram[i]
+                for j, sj in members:
+                    row[j] += eta * si * sj
+        self.graph = g
+        self.cycles = cycles
+        self.gram = IntMatrix(gram, cols=b)
+        self.support = frozenset(through)
+        self.parent = spanning_tree(g)[1]
+
+    def c(self) -> int:
+        """gcd of the entries of G; 0 when the graph has no cycles."""
+        return _gcd_all(x for i in range(self.gram.rows) for x in self.gram.row(i))
+
+    def t(self) -> int:
+        """gcd of the thicknesses of the nonseparating edges; 0 when
+        there are none."""
+        edges, thickness = self.graph.edges, self.graph.edge_thickness
+        return _gcd_all(thickness[edges[ei].id] for ei in self.support)
+
+    def degree_below(self, degrees: Sequence[int]) -> dict[int, int]:
+        """For each tree edge index, the total of ``degrees`` (listed in
+        vertex order) over the vertices on the far side of the edge from
+        the root."""
+        below = list(degrees)
+        out = {}
+        for child in reversed(self.parent):  # children before parents
+            up, ei = self.parent[child]
+            out[ei] = below[child]
+            below[up] += below[child]
+        return out
+
+    def in_image_mod(self, degrees: Sequence[int], r: int) -> bool:
+        """Whether the multidegree, padded with zeros on the exceptional
+        components, lies in the image of the regular model's
+        intersection matrix modulo r.
+
+        Moving the total degree onto the root gives D' with the same
+        residues (the total is a multiple of r) and total 0.  The tree
+        flow f with boundary D' carries, on each tree edge, the degree
+        below it.  D' is in the image of the Laplacian modulo r exactly
+        when the vector w_i = sum_e thickness(e) * f(e) * gamma_i(e) is in
+        the image of G modulo r: the map D' -> w induces the isomorphism
+        between the two presentations of Phi.
+        """
+        g = self.graph
+        thickness = g.edge_thickness
+        below = self.degree_below(degrees)
+        flow = {}  # thickness(e) * f(e) on the tree edges
+        for child, (_, ei) in self.parent.items():
+            edge = g.edges[ei]
+            sign = 1 if g.vertex_index(edge.tip) == child else -1
+            flow[ei] = sign * below[ei] * thickness[edge.id]
+        w = tuple(
+            sum(flow[ei] * sign for ei, sign in cycle.items() if ei in flow)
+            for cycle in self.cycles
+        )
+        return solve_mod(self.gram, w, r) is not None
+
+
 def circuit_invariant_c(g: MultiGraph, *, via_circuits: bool = False) -> int:
     """gcd of |signed_common_edges(a, b)| over all unordered pairs of
     circuits, a pair of a circuit with itself included; 0 when the graph
-    has no circuits.
+    has no circuits.  Thicknesses are ignored: this is c of the graph
+    itself, not of its regular model.
 
     The default path evaluates the gcd on the Gram matrix of a
     fundamental cycle basis, which is always available: every circuit is
@@ -146,13 +257,7 @@ def circuit_invariant_c(g: MultiGraph, *, via_circuits: bool = False) -> int:
 def thickness_invariant_t(g: MultiGraph) -> int:
     """gcd of the thicknesses of the nonseparating edges; 0 when every
     edge is separating (compact type)."""
-    return _gcd_all(
-        g.thickness(e.id) for e in g.edges if is_nonseparating(g, e.id)
-    )
-
-
-def _regular_model_c(d: ReductionData) -> int:
-    return circuit_invariant_c(thickness_subdivision(d.graph))
+    return CyclePairing(g).t()
 
 
 def index_m2(d: ReductionData) -> int:
@@ -160,7 +265,7 @@ def index_m2(d: ReductionData) -> int:
     r-torsion Picard scheme becomes finite: m1 * r / gcd(r, c), where c
     is the circuit invariant of the minimal regular model and
     gcd(r, 0) = r."""
-    return d.m1 * d.r // gcd(d.r, _regular_model_c(d))
+    return d.m1 * d.r // gcd(d.r, CyclePairing(d.graph).c())
 
 
 def index_m3(d: ReductionData) -> int:
@@ -168,6 +273,13 @@ def index_m3(d: ReductionData) -> int:
     r-torsion bundles of a twisted reduction: m1 * r / gcd(r, t) with
     gcd(r, 0) = r."""
     return d.m1 * d.r // gcd(d.r, thickness_invariant_t(d.graph))
+
+
+def _require_semistable(d: ReductionData) -> None:
+    if d.m1 != 1:
+        raise SemistabilityRequired(
+            "the finiteness criterion over the base needs m1 = 1"
+        )
 
 
 def group_neron_finite(d: ReductionData) -> bool:
@@ -180,25 +292,21 @@ def group_neron_finite(d: ReductionData) -> bool:
     regular model, vacuously for compact type (c = 0); equivalently
     m2 = 1, equivalently Phi[r] of the regular model is all of (Z/r)^b1.
     """
-    if d.m1 != 1:
-        raise SemistabilityRequired(
-            "the finiteness criterion over the base needs m1 = 1"
-        )
-    return _regular_model_c(d) % d.r == 0
+    _require_semistable(d)
+    return CyclePairing(d.graph).c() % d.r == 0
 
 
-def _separating_side_degree(d: ReductionData, edge_id: EdgeId) -> int:
-    """Sum of the multidegree over one side of the partial normalisation
-    at a separating edge: the side containing the least vertex.  The
-    divisibility tests using it are side-independent because the total
-    degree vanishes modulo r."""
-    g = d.graph
-    edge = g.edge(edge_id)
-    side = g._reachable_from(g.vertex_index(edge.tail), skip_edge=g.edge_index(edge_id))
-    if g.vertex_index(g.least_vertex()) not in side:
-        side = g._reachable_from(g.vertex_index(edge.tip), skip_edge=g.edge_index(edge_id))
-    assert d.multidegree is not None
-    return sum(d.multidegree[g.vertices[i]] for i in side)
+def _twisted_roots(p: CyclePairing, degrees: Sequence[int], r: int) -> bool:
+    g = p.graph
+    below = p.degree_below(degrees)
+    for ei, e in enumerate(g.edges):
+        # A separating edge is a tree edge; the degree below it is the
+        # degree on one side, and the test does not depend on the side
+        # because the total degree is a multiple of r.
+        side = 1 if ei in p.support else below[ei]
+        if (g.stabilizer(e.id) * side) % r != 0:
+            return False
+    return True
 
 
 def twisted_roots_finite(d: ReductionData) -> bool:
@@ -211,16 +319,7 @@ def twisted_roots_finite(d: ReductionData) -> bool:
     """
     if d.multidegree is None:
         raise MissingMultidegree("the separating-node test needs a multidegree")
-    g, r = d.graph, d.r
-    for e in g.edges:
-        stab = g.stabilizer(e.id)
-        if is_nonseparating(g, e.id):
-            if stab % r != 0:
-                return False
-        else:
-            if (stab * _separating_side_degree(d, e.id)) % r != 0:
-                return False
-    return True
+    return _twisted_roots(CyclePairing(d.graph), d.multidegree_vector(), d.r)
 
 
 def torsion_count_special(g: MultiGraph, r: int) -> int:
@@ -250,24 +349,15 @@ def torsor_neron_finite(d: ReductionData) -> bool:
     with the given multidegree is finite over the base.
 
     Two conditions: the group criterion holds, and the multidegree is in
-    the image of the intersection matrix modulo r, i.e. some extension of
-    the bundle has degree divisible by r on every component.
+    the image of the intersection matrix of the regular model modulo r,
+    i.e. some extension of the bundle has degree divisible by r on every
+    component.
     """
-    if d.m1 != 1:
-        raise SemistabilityRequired(
-            "the finiteness criterion over the base needs m1 = 1"
-        )
+    _require_semistable(d)
     if d.multidegree is None:
         raise MissingMultidegree("the torsor criterion needs a multidegree")
-    if not group_neron_finite(d):
-        return False
-    reg = thickness_subdivision(d.graph)
-    degrees = d.multidegree_vector()
-    if reg is not d.graph:
-        # On the regular model the pulled-back bundle has degree zero on
-        # every exceptional component.
-        degrees = degrees + (0,) * (reg.n_vertices - d.graph.n_vertices)
-    return image_contains_mod(intersection_matrix(reg), degrees, d.r)
+    p = CyclePairing(d.graph)
+    return p.c() % d.r == 0 and p.in_image_mod(d.multidegree_vector(), d.r)
 
 
 def divisibility_chain(m1: int, m2: int, m3: int, r: int) -> bool:
@@ -293,31 +383,44 @@ def analyze(d: ReductionData) -> AnalysisReport:
     the indices m2 and m3 remain available through :func:`index_m2` and
     :func:`index_m3` for any m1).  Phi, c and the r-divided test refer to
     the minimal regular model, i.e. the thickness subdivision of the
-    graph; for unit thicknesses that is the graph itself.
+    graph; all of them come from one :class:`CyclePairing` of the given
+    graph and one Smith reduction of its Gram matrix.
     """
     if d.m1 != 1:
         raise SemistabilityRequired("analysis reports are defined for m1 = 1")
     g, r = d.graph, d.r
-    reg = thickness_subdivision(g)
-    b1 = betti1(g)
+    p = CyclePairing(g)
+    phi = AbelianGroup(
+        tuple(n for n in smith_normal_form(p.gram).diagonal if n > 1)
+    )
+    c, t = p.c(), p.t()
+    group_finite = c % r == 0
+    degrees = None if d.multidegree is None else d.multidegree_vector()
+    thickness = g.edge_thickness
     genus = total_genus(g)
     return AnalysisReport(
-        b1=b1,
+        b1=betti1(g),
         genus=genus,
-        c=circuit_invariant_c(reg),
-        t=thickness_invariant_t(g),
-        phi=phi_group(reg),
-        phi_r=phi_r_torsion(reg, r),
-        m1=d.m1,
-        m2=index_m2(d),
-        m3=index_m3(d),
-        group_neron_finite=group_neron_finite(d),
-        torsor_neron_finite=(
-            None if d.multidegree is None else torsor_neron_finite(d)
+        c=c,
+        t=t,
+        phi=phi,
+        phi_r=AbelianGroup(
+            tuple(k for n in phi.invariant_factors if (k := gcd(n, r)) > 1)
         ),
-        r_divided=is_r_divided(reg, r),
+        m1=d.m1,
+        m2=r // gcd(r, c),
+        m3=r // gcd(r, t),
+        group_neron_finite=group_finite,
+        torsor_neron_finite=(
+            None if degrees is None
+            else group_finite and p.in_image_mod(degrees, r)
+        ),
+        r_divided=all(
+            sum(thickness[g.edges[ei].id] for ei in chain) % r == 0
+            for chain in maximal_chains(g)
+        ),
         twisted_roots_finite=(
-            None if d.multidegree is None else twisted_roots_finite(d)
+            None if degrees is None else _twisted_roots(p, degrees, r)
         ),
         torsion_count_special_fibre=torsion_count_special(g, r),
         torsion_count_generic=r ** (2 * genus),

@@ -10,7 +10,24 @@ presentation via stacked Smith reductions.
 from __future__ import annotations
 
 import itertools
-from nerongraph import Circuit, IntMatrix, MultiGraph, smith_normal_form
+from math import gcd
+
+from nerongraph import (
+    Circuit,
+    IntMatrix,
+    MultiGraph,
+    ReductionData,
+    circuit_invariant_c,
+    intersection_matrix,
+    is_full_r_torsion,
+    is_nonseparating,
+    is_r_divided,
+    phi_group,
+    phi_r_torsion,
+    smith_normal_form,
+    solve_mod,
+    thickness_subdivision,
+)
 
 
 # -- small graphs -----------------------------------------------------------
@@ -180,3 +197,46 @@ def phi_from_presentation(g: MultiGraph) -> tuple[int, ...]:
     diag = smith_normal_form(coord_matrix).diagonal
     assert all(d != 0 for d in diag), "quotient is infinite"
     return tuple(d for d in diag if d > 1)
+
+
+def regular_model_report(d: ReductionData) -> dict:
+    """The report fields that depend on the thicknesses, computed on the
+    thickness subdivision: Phi and Phi[r] from its Laplacian, c from its
+    unweighted cycle basis, the group verdict as Phi[r] = (Z/r)^b1, the
+    torsor verdict as membership in the image of its intersection matrix
+    modulo r, r-divided from its chains, and t and the twisted verdict
+    from a breadth-first search per edge of the given graph."""
+    g, r = d.graph, d.r
+    reg = thickness_subdivision(g)
+    group = is_full_r_torsion(reg, r)
+    out = {
+        "phi": phi_group(reg),
+        "phi_r": phi_r_torsion(reg, r),
+        "c": circuit_invariant_c(reg),
+        "t": 0,
+        "group_neron_finite": group,
+        "r_divided": is_r_divided(reg, r),
+        "torsor_neron_finite": None,
+        "twisted_roots_finite": None,
+    }
+    for e in g.edges:
+        if is_nonseparating(g, e.id):
+            out["t"] = gcd(out["t"], g.thickness(e.id))
+    if d.multidegree is None:
+        return out
+    degrees = d.multidegree_vector() + (0,) * (reg.n_vertices - g.n_vertices)
+    out["torsor_neron_finite"] = (
+        group and solve_mod(intersection_matrix(reg), degrees, r) is not None
+    )
+    twisted = True
+    root = g.vertex_index(g.least_vertex())
+    for i, e in enumerate(g.edges):
+        side = 1
+        if not is_nonseparating(g, e.id):
+            near = g._reachable_from(g.vertex_index(e.tail), skip_edge=i)
+            if root not in near:
+                near = g._reachable_from(g.vertex_index(e.tip), skip_edge=i)
+            side = sum(d.multidegree[g.vertices[v]] for v in near)
+        twisted = twisted and (g.stabilizer(e.id) * side) % r == 0
+    out["twisted_roots_finite"] = twisted
+    return out

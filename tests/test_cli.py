@@ -123,6 +123,58 @@ class TestAnalyze:
         assert "typo" in capsys.readouterr().err
 
 
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err and "Traceback" not in err
+
+    def test_duplicate_keys_rejected(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text('{"r": 2, "r": 3, "vertices": [{"id": "v0"}], "edges": []}')
+        assert main(["analyze", str(path)]) == 2
+        assert "r: duplicate key" in capsys.readouterr().err
+
+    def test_duplicate_keys_in_a_record_rejected(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text('{"r": 2, "vertices": [{"id": "v0", "genus": 0, "genus": 1}]}')
+        assert main(["analyze", str(path)]) == 2
+        assert "genus: duplicate key" in capsys.readouterr().err
+
+    def test_integer_literal_past_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"r": 1' + "0" * 5000 + ', "vertices": [{"id": "v0"}]}')
+        assert main(["analyze", str(path)]) == 2
+        assert "digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["table", "machine"])
+    def test_huge_genus_rejected(self, tmp_path, capsys, fmt):
+        doc = {"r": 2, "vertices": [{"id": "v0", "genus": 10000}]}
+        assert main(["analyze", write(tmp_path, doc), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert "genus" in captured.err and "r = 2" in captured.err
+        assert captured.out == ""
+
+    def test_genus_limit_is_exact(self, tmp_path, capsys):
+        # 10^(2g) has 2g + 1 digits: 4299 prints, 4301 does not.
+        doc = {"r": 10, "vertices": [{"id": "v0", "genus": 2149}]}
+        assert main(["analyze", write(tmp_path, doc), "--format", "machine"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["torsion_count_generic"] == 10 ** 4298
+        doc["vertices"][0]["genus"] = 2150
+        assert main(["analyze", write(tmp_path, doc)]) == 2
+        assert "genus" in capsys.readouterr().err
+
+    def test_component_group_too_long_to_print(self, tmp_path, capsys):
+        # Two loops of thickness 10^3000 give |Phi| = 10^6000.
+        doc = {"r": 2, "vertices": [{"id": "v0"}], "edges": [
+            {"id": e, "tail": "v0", "tip": "v0", "thickness": 10 ** 3000}
+            for e in ("x", "y")]}
+        assert main(["analyze", write(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert "edges" in captured.err and captured.out == ""
+
 class TestParseInputDocument:
     def test_defaults_applied(self):
         doc = {

@@ -26,6 +26,14 @@ def test_three_edge_count():
     assert len(graphs) == 11
 
 
+
+def test_counts_per_edge_number_up_to_six():
+    # OEIS A007719: connected multigraphs with loops, by edge count.
+    counts = {}
+    for g in connected_multigraphs(6):
+        counts[g.n_edges] = counts.get(g.n_edges, 0) + 1
+    assert counts == {0: 1, 1: 2, 2: 4, 3: 11, 4: 30, 5: 95, 6: 328}
+
 def test_all_graphs_valid_and_distinct():
     seen = set()
     for g in connected_multigraphs(4):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from nerongraph import (
     DimensionMismatch,
     IntMatrix,
+    SmithDecomposition,
     betti1,
     boundary_matrix,
     coboundary_matrix,
@@ -195,6 +196,18 @@ class TestSolveMod:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             image_contains_mod(IntMatrix.identity(2), (1, 1, 1), 2)
+
+    def test_wrong_decomposition_is_caught(self, monkeypatch):
+        # A Smith form that claims diag(1, 1) for diag(2, 3) yields the
+        # "solution" (1, 1), which the re-check must refuse.
+        import nerongraph.homology as homology
+
+        a = IntMatrix([[2, 0], [0, 3]])
+        identity = IntMatrix.identity(2)
+        wrong = SmithDecomposition(identity, identity, identity)
+        monkeypatch.setattr(homology, "smith_normal_form", lambda m: wrong)
+        with pytest.raises(ArithmeticError, match="non-solution"):
+            solve_mod(a, (1, 1), 4)
 
     def test_against_brute_force_oracle(self):
         rng = random.Random(1729)

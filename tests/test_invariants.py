@@ -1,9 +1,14 @@
 import random
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nerongraph import (
     InvalidReductionData,
+    betti1,
+    is_nonseparating,
     MissingMultidegree,
     MultiGraph,
     ReductionData,
@@ -28,8 +33,18 @@ from nerongraph import (
     twisted_roots_finite,
 )
 from nerongraph.enumeration import connected_multigraphs, random_connected_multigraph
+from nerongraph.graph import maximal_chains
+from nerongraph.invariants import CyclePairing
 
-from helpers import banana, barbell, cycle_graph, loop_graph, path_graph, two_triangles_bridge
+from helpers import (
+    banana,
+    barbell,
+    cycle_graph,
+    loop_graph,
+    path_graph,
+    regular_model_report,
+    two_triangles_bridge,
+)
 
 FIXTURE_C = {"loop": 1, "banana": 2, "square": 4, "theta-fan": 2,
              "two-squares-bridge": 4, "grid": 2}
@@ -315,3 +330,100 @@ class TestAnalyze:
         assert report.c == 6  # hexagon, not the bare banana
         assert report.phi.invariant_factors == (6,)
         assert report.group_neron_finite
+
+
+@st.composite
+def thick_reduction_data(draw):
+    """A random tree plus extra edges (loops and parallels allowed), with
+    thicknesses, stabilizers, r in 2..6 and a multidegree."""
+    n = draw(st.integers(1, 6))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs += draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=5))
+    edges = [(i, u, v) for i, (u, v) in enumerate(pairs)]
+    r = draw(st.integers(2, 6))
+    thickness = [draw(st.integers(1, 6)) for _ in pairs]
+    if draw(st.booleans()):
+        # Lengthen one edge per maximal chain so that the regular model is
+        # r-divided: it then meets the group criterion, and the torsor
+        # verdict turns on the multidegree.
+        for chain in maximal_chains(MultiGraph(range(n), edges)):
+            thickness[chain[0]] += -sum(thickness[i] for i in chain) % r
+    stabilizer = {i: draw(st.sampled_from((1, r, 2 * r, 3))) for i in range(len(pairs))}
+    g = MultiGraph(range(n), edges, edge_thickness=dict(enumerate(thickness)),
+                   edge_stabilizer=stabilizer)
+    degrees = [draw(st.integers(-2 * r, 2 * r)) for _ in range(n)]
+    degrees[-1] -= sum(degrees) % r
+    return ReductionData(graph=g, r=r, multidegree=dict(enumerate(degrees)))
+
+
+def _report_fields(d):
+    report = analyze(d)
+    return {key: getattr(report, key) for key in regular_model_report(d)}
+
+
+class TestPairingAgainstSubdivision:
+    """The pairing route of ``analyze`` against the thickness
+    subdivision and its Laplacian, which ``analyze`` never builds."""
+
+    def test_same_report_reaching_both_torsor_outcomes(self):
+        # Both torsor outcomes must come up on graphs with cycles that
+        # meet the group criterion, where the verdict turns on the solve
+        # against G and not on c alone.
+        outcomes = set()
+
+        @settings(max_examples=200, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(thick_reduction_data())
+        def check(d):
+            expected = regular_model_report(d)
+            assert _report_fields(d) == expected
+            if betti1(d.graph) > 0 and expected["group_neron_finite"]:
+                outcomes.add(expected["torsor_neron_finite"])
+
+        check()
+        assert outcomes == {True, False}
+
+    def test_standalone_functions_agree_with_analyze(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            g = random_connected_multigraph(rng, max_edges=9, thickness_range=(1, 7))
+            r = rng.randint(2, 6)
+            degrees = [rng.randint(-5, 5) for _ in g.vertices]
+            degrees[-1] -= sum(degrees) % r
+            d = ReductionData(graph=g, r=r, multidegree=dict(zip(g.vertices, degrees)))
+            report = analyze(d)
+            assert report.t == thickness_invariant_t(g)
+            assert report.m2 == index_m2(d) and report.m3 == index_m3(d)
+            assert report.group_neron_finite == group_neron_finite(d)
+            assert report.torsor_neron_finite == torsor_neron_finite(d)
+            assert report.twisted_roots_finite == twisted_roots_finite(d)
+
+    def test_support_is_the_nonseparating_edges(self):
+        for g in connected_multigraphs(5):
+            support = {g.edges[ei].id for ei in CyclePairing(g).support}
+            assert support == {e.id for e in g.edges if is_nonseparating(g, e.id)}
+
+
+class TestThicknessCost:
+    def test_loop_of_thickness_a_million(self):
+        d = ReductionData(graph=loop_graph(edge_thickness={"e0": 10**6}), r=4,
+                          multidegree={})
+        start = time.perf_counter()
+        report = analyze(d)
+        assert time.perf_counter() - start < 1.0
+        assert report.phi.invariant_factors == (10**6,)
+        assert (report.c, report.t, report.m2) == (10**6, 10**6, 1)
+        assert report.group_neron_finite and report.torsor_neron_finite
+        assert report.r_divided
+
+    def test_thick_theta(self):
+        # Three chains of thickness 10^6, 2 * 10^6 and 3 * 10^6 between
+        # two vertices: Phi has order 11 * 10^12 (weighted tree count).
+        g = MultiGraph(["a", "b"], [("x", "a", "b"), ("y", "a", "b"), ("z", "a", "b")],
+                       edge_thickness={"x": 10**6, "y": 2 * 10**6, "z": 3 * 10**6})
+        start = time.perf_counter()
+        report = analyze(ReductionData(graph=g, r=2))
+        assert time.perf_counter() - start < 1.0
+        assert report.phi.order == 11 * 10**12
+        assert report.c == 10**6
