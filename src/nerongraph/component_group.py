@@ -54,6 +54,14 @@ class AbelianGroup:
     def is_trivial(self) -> bool:
         return not self.invariant_factors
 
+    def torsion(self, r: int) -> "AbelianGroup":
+        """The r-torsion subgroup: for (+) Z/n_i it is (+) Z/gcd(n_i, r),
+        with factors collapsing to 1 dropped; the divisibility chain
+        survives the gcd."""
+        return AbelianGroup(
+            tuple(d for n in self.invariant_factors if (d := gcd(n, r)) > 1)
+        )
+
     def __str__(self) -> str:
         if self.is_trivial:
             return "trivial"
@@ -137,18 +145,10 @@ def spanning_tree_count(g: MultiGraph) -> int:
 
 
 def phi_r_torsion(g: MultiGraph, r: int) -> AbelianGroup:
-    """The r-torsion subgroup Phi[r].
-
-    For Phi = (+) Z/n_i the structure theorem gives
-    Phi[r] = (+) Z/gcd(n_i, r); factors collapsing to 1 are dropped and
-    the divisibility chain survives the gcd.
-    """
+    """The r-torsion subgroup Phi[r] (see :meth:`AbelianGroup.torsion`)."""
     if r < 1:
         raise ValueError("r must be a positive integer")
-    factors = tuple(
-        d for n in phi_group(g).invariant_factors if (d := gcd(n, r)) > 1
-    )
-    return AbelianGroup(factors)
+    return phi_group(g).torsion(r)
 
 
 def is_full_r_torsion(g: MultiGraph, r: int) -> bool:

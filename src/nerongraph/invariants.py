@@ -404,9 +404,7 @@ def analyze(d: ReductionData) -> AnalysisReport:
         c=c,
         t=t,
         phi=phi,
-        phi_r=AbelianGroup(
-            tuple(k for n in phi.invariant_factors if (k := gcd(n, r)) > 1)
-        ),
+        phi_r=phi.torsion(r),
         m1=d.m1,
         m2=r // gcd(r, c),
         m3=r // gcd(r, t),
