@@ -9,11 +9,11 @@ control the finiteness of Neron models.
 """
 
 from nerongraph import (
+    CyclePairing,
     MultiGraph,
     betti1,
     circuit_invariant_c,
     enumerate_circuits,
-    fundamental_cycle_basis,
     is_nonseparating,
     is_r_divided,
     signed_common_edges,
@@ -60,10 +60,12 @@ print("\ntheta-fan:", theta_fan)
 print("  b1 =", betti1(theta_fan))
 for x in enumerate_circuits(theta_fan):
     print("   ", x)
-basis = fundamental_cycle_basis(theta_fan)
-print("  cycle basis size =", len(basis), "(= b1)")
-gram = [[signed_common_edges(a, b) for b in basis] for a in basis]
-print("  Gram matrix of the basis:", gram)
+# The analysis needs no circuit list: it pairs the cycles of a
+# fundamental basis, one per edge outside a spanning tree, each a signed
+# edge vector {edge index: +1 or -1}.  c is the gcd of the Gram entries.
+pairing = CyclePairing(theta_fan)
+print("  cycle basis:", list(pairing.cycles), "(b1 of them)")
+print("  Gram matrix of the basis:", pairing.gram)
 print("  c(theta-fan) =", circuit_invariant_c(theta_fan))
 
 # Thickness: each node of the reduction carries the exponent of its
@@ -77,11 +79,22 @@ thick = MultiGraph(
 print("\nbanana with thicknesses (4, 6):  t =", thickness_invariant_t(thick))
 
 # Resolving the thick nodes subdivides each edge into eta parts and
-# yields the dual graph of the minimal regular model.
+# yields the dual graph of the minimal regular model, to which c refers.
+# The pairing weights each edge by its thickness, so c comes out the same
+# without building the subdivision.
 regular = thickness_subdivision(thick)
 print("  minimal regular model:", regular, " c =", circuit_invariant_c(regular))
+print("  c from the weighted pairing of the banana itself =",
+      circuit_invariant_c(thick))
 
 # r-divided graphs: obtained from some graph by cutting every edge into
-# r equal chains.  The banana is the 2-division of a single loop.
+# r equal chains.  The banana is the 2-division of a single loop.  Like
+# c, the test refers to the regular model: a chain counts its thickness.
 print("\nbanana is 2-divided:", is_r_divided(banana, 2))
 print("theta-fan is 2-divided:", is_r_divided(theta_fan, 2))
+# A banana with thicknesses (1, 2) resolves to a triangle: c = 3, and
+# the triangle is not 2-divided although the bare banana is.
+uneven = MultiGraph(["v0", "v1"], [("e0", "v0", "v1"), ("e1", "v0", "v1")],
+                    edge_thickness={"e0": 1, "e1": 2})
+print("banana with thicknesses (1, 2): c =", circuit_invariant_c(uneven),
+      " 2-divided:", is_r_divided(uneven, 2))

@@ -15,7 +15,7 @@ from nerongraph import (
     group_neron_finite,
     index_m2,
     index_m3,
-    lorenzini_sufficient,
+    is_r_divided,
     paper_fixtures,
 )
 
@@ -44,7 +44,7 @@ for name, r in (("two-squares-bridge", 4), ("grid", 2)):
     data = ReductionData(graph=graph, r=r)
     print(
         f"{name} at r={r}: finite={group_neron_finite(data)}, "
-        f"r-divided={lorenzini_sufficient(graph, r)}"
+        f"r-divided={is_r_divided(graph, r)}"
     )
 
 # Thickness matters through the minimal regular model.  A banana whose

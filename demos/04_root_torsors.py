@@ -12,8 +12,8 @@ on every component.
 from nerongraph import (
     MultiGraph,
     ReductionData,
-    image_contains_mod,
     intersection_matrix,
+    solve_mod,
     torsion_count_special,
     torsion_count_twisted,
     torsor_neron_finite,
@@ -32,7 +32,7 @@ banana = MultiGraph(
 # zero here.  So both degrees even -> finite; both odd -> not finite.
 m = intersection_matrix(banana)
 print("M(banana) =", m, " image mod 2 contains (1,1):",
-      image_contains_mod(m, (1, 1), 2))
+      solve_mod(m, (1, 1), 2) is not None)
 
 for degrees in ((2, 0), (1, -1)):
     data = ReductionData(

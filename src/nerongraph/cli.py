@@ -35,15 +35,7 @@ from typing import Any
 from . import __version__
 from .errors import BadModulus, BoundsTooLarge, NeronGraphError, ParseError
 from .graph import MultiGraph, total_genus
-from .invariants import (
-    AnalysisReport,
-    ReductionData,
-    analyze,
-    circuit_invariant_c,
-    index_m2,
-    index_m3,
-    thickness_invariant_t,
-)
+from .invariants import AnalysisReport, ReductionData, analyze
 from .fixtures import paper_fixtures
 from .enumeration import verify_equivalence
 
@@ -51,12 +43,29 @@ from .enumeration import verify_equivalence
 # -- input documents --------------------------------------------------------
 
 
+# JSON type names by decoded Python type; bool before int, its base class.
+_JSON_TYPES = ((bool, "boolean"), (int, "integer"), (float, "number"),
+               (str, "string"), (list, "array"), (dict, "object"))
+_SHOWN_KEY_CHARS = 40
+
+
+def _json_type(value: Any) -> str:
+    return next((name for kind, name in _JSON_TYPES if isinstance(value, kind)), "null")
+
+
+def _key(key: str) -> str:
+    """A document key for a message, cut to a bounded length."""
+    if len(key) <= _SHOWN_KEY_CHARS:
+        return key
+    return f"{key[:_SHOWN_KEY_CHARS]}... ({len(key)} characters)"
+
+
 def _expect(value: Any, kind: type, path: str) -> Any:
-    names = {dict: "object", list: "array", str: "string", int: "integer"}
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ParseError(f"{path}: expected integer, got {value!r}")
-    if kind is not int and not isinstance(value, kind):
-        raise ParseError(f"{path}: expected {names.get(kind, kind.__name__)}, got {value!r}")
+    """The value, or a :class:`ParseError` that names the field and the
+    JSON type received; the value itself is never echoed."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        expected = next(name for k, name in _JSON_TYPES if k is kind)
+        raise ParseError(f"{path}: expected {expected}, got {_json_type(value)}")
     return value
 
 
@@ -66,7 +75,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ParseError(f"{key}: duplicate key")
+            raise ParseError(f"{_key(key)}: duplicate key")
         obj[key] = value
     return obj
 
@@ -74,7 +83,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 def _known_keys(obj: dict, allowed: set[str], path: str) -> None:
     for key in obj:
         if key not in allowed:
-            raise ParseError(f"{path}.{key}: unknown field")
+            raise ParseError(f"{path}.{_key(key)}: unknown field")
 
 
 def parse_input_document(obj: Any) -> tuple[str, ReductionData]:
@@ -100,7 +109,7 @@ def parse_input_document(obj: Any) -> tuple[str, ReductionData]:
         vertices.append(vid)
         g = _expect(rec.get("genus", 0), int, f"{path}.genus")
         if g < 0:
-            raise ParseError(f"{path}.genus: must be nonnegative, got {g}")
+            raise ParseError(f"{path}.genus: must be nonnegative")
         genus[vid] = g
 
     edges: list[tuple[str, str, str]] = []
@@ -120,7 +129,7 @@ def parse_input_document(obj: Any) -> tuple[str, ReductionData]:
         for field, table, least in (("thickness", thickness, 1), ("stabilizer", stabilizer, 1)):
             value = _expect(rec.get(field, 1), int, f"{path}.{field}")
             if value < least:
-                raise ParseError(f"{path}.{field}: must be >= {least}, got {value}")
+                raise ParseError(f"{path}.{field}: must be >= {least}")
             table[eid] = value
 
     multidegree = None
@@ -129,7 +138,7 @@ def parse_input_document(obj: Any) -> tuple[str, ReductionData]:
         multidegree = {}
         for key, value in md.items():
             multidegree[_expect(key, str, "multidegree key")] = _expect(
-                value, int, f"multidegree.{key}"
+                value, int, f"multidegree.{_key(key)}"
             )
 
     graph = MultiGraph(vertices, edges, genus, thickness, stabilizer)
@@ -298,17 +307,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise BadModulus(f"the table assumes r is a positive multiple of 4, got {r}")
     rows = []
     for name, graph in paper_fixtures():
-        data = ReductionData(graph=graph, r=r)
-        rows.append(
-            (
-                name,
-                circuit_invariant_c(graph),
-                thickness_invariant_t(graph),
-                data.m1,
-                index_m2(data),
-                index_m3(data),
-            )
-        )
+        report = analyze(ReductionData(graph=graph, r=r))
+        rows.append((name, report.c, report.t, report.m1, report.m2, report.m3))
     print(f"r = {r}")
     print()
     header = ("fixture", "c", "t", "m1", "m2", "m3")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from .errors import MalformedSpectrum, NotACycle
+from .errors import BoundsTooLarge, MalformedSpectrum, NotACycle
 from .graph import MultiGraph, OrientedCycleVector, betti1
 from .homology import (
     boundary_matrix,
@@ -85,13 +85,20 @@ def phi_group(g: MultiGraph) -> AbelianGroup:
     return AbelianGroup(tuple(d for d in diag if d > 1))
 
 
+#: Most non-loop edges :func:`spanning_tree_count` takes; its recursion
+#: goes one level deeper per edge.
+MAX_TREE_COUNT_EDGES = 200
+
+
 def spanning_tree_count(g: MultiGraph) -> int:
     """Number of spanning trees, by deletion-contraction.
 
     Loops are deleted and bridges contracted; the recursion is memoised
     on the vertex set and edge multiset.  This is deliberately
     independent of the Smith-form route to |Phi|, so the two can
-    cross-validate each other (the matrix-tree theorem).
+    cross-validate each other (the matrix-tree theorem).  Raises
+    :class:`BoundsTooLarge` past :data:`MAX_TREE_COUNT_EDGES` non-loop
+    edges.
     """
     edges = tuple(
         sorted(
@@ -101,6 +108,11 @@ def spanning_tree_count(g: MultiGraph) -> int:
             if not e.is_loop
         )
     )
+    if len(edges) > MAX_TREE_COUNT_EDGES:
+        raise BoundsTooLarge(
+            f"spanning_tree_count takes at most {MAX_TREE_COUNT_EDGES} "
+            f"non-loop edges, got {len(edges)}"
+        )
     vertices = frozenset(range(g.n_vertices))
     cache: dict[tuple, int] = {}
 

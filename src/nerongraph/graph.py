@@ -5,12 +5,19 @@ irreducible component (carrying a geometric genus), one edge per node
 (carrying a thickness and a stabilizer order).  Loops and parallel edges
 are allowed; every graph is required to be connected.
 
+The analysis reads everything from a fundamental cycle basis, given as
+sparse signed edge vectors ``{edge index: +1 or -1}`` closed up through
+one breadth-first spanning tree, and from the maximal chains, whose
+total thicknesses decide whether the minimal regular model is r-divided.
+
 A *circuit* is a closed walk along oriented edges whose interior vertices
 are pairwise distinct; a loop alone is a circuit of length 1 and a pair of
 parallel edges supports a circuit of length 2.  Circuits map to signed
 edge-indicator vectors, and the inner product of two such vectors counts
 the edges shared by the two circuits with signs recording whether the
-orientations agree.
+orientations agree.  :class:`Circuit`, :func:`enumerate_circuits` and
+:func:`signed_common_edges` serve the brute-force verifier, the test
+oracles and the demos; the analysis builds no circuit.
 
 All values are immutable after construction and all operations are pure,
 so everything in this module is safe to share between threads.
@@ -22,7 +29,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DanglingEndpoint,
@@ -232,17 +239,6 @@ class MultiGraph:
         return seen
 
 
-def build_graph(
-    vertices: Iterable[VertexId],
-    edges: Iterable[tuple[EdgeId, VertexId, VertexId]],
-    vertex_genus: Mapping[VertexId, int] | None = None,
-    edge_thickness: Mapping[EdgeId, int] | None = None,
-    edge_stabilizer: Mapping[EdgeId, int] | None = None,
-) -> MultiGraph:
-    """Validate the given records and return the corresponding graph."""
-    return MultiGraph(vertices, edges, vertex_genus, edge_thickness, edge_stabilizer)
-
-
 # -- circuits -------------------------------------------------------------
 
 
@@ -315,7 +311,7 @@ class Circuit:
             raise ValueError("interior vertices of a circuit must be distinct")
         self.graph = graph
         self.traversals = ts
-        self._key = min(self._candidate_keys(graph, ts))
+        self._key = self._least_key(graph, ts)
 
     @staticmethod
     def _head(graph: MultiGraph, e: EdgeId, d: int) -> VertexId:
@@ -323,14 +319,18 @@ class Circuit:
         return edge.tip if d == 1 else edge.tail
 
     @staticmethod
-    def _candidate_keys(graph, ts) -> Iterator[tuple]:
-        fwd = list(ts)
-        rev = [(e, -d) for e, d in reversed(fwd)]
-        n = len(fwd)
-        for seq in (fwd, rev):
-            for r in range(n):
-                rotated = seq[r:] + seq[:r]
-                yield tuple((graph.edge_index(e), 0 if d == 1 else 1) for e, d in rotated)
+    def _least_key(graph, ts) -> tuple:
+        """The least rotation or reversal as ``(edge index, 0 forwards or
+        1 backwards)`` pairs.  The edges are distinct, so it starts at the
+        least edge index, walked in one of the two directions."""
+        fwd = [(graph.edge_index(e), 0 if d == 1 else 1) for e, d in ts]
+        rev = [(i, 1 - flag) for i, flag in reversed(fwd)]
+
+        def rotated(seq: list) -> tuple:
+            k = seq.index(min(seq))
+            return tuple(seq[k:] + seq[:k])
+
+        return min(rotated(fwd), rotated(rev))
 
     def __len__(self) -> int:
         return len(self.traversals)
@@ -425,51 +425,55 @@ def enumerate_circuits(g: MultiGraph, limit: int = DEFAULT_CIRCUIT_LIMIT) -> lis
         for ei in loops:
             add([(g.edges[ei].id, 1)])
 
-    n = g.n_vertices
-    for s in range(n):
-        # Vertex-simple paths from s through vertices > s, closing at s.
-        # Each circuit arises from its least vertex, once per direction;
+    edges, vindex, adjacency = g.edges, g._vindex, g._adjacency
+    for s in range(g.n_vertices):
+        # Vertex-simple paths from s through vertices > s, closing at s,
+        # walked depth first with an explicit stack so that a long cycle
+        # cannot pass the interpreter's recursion limit.  Each circuit
+        # arises from its least vertex, once per direction;
         # canonicalisation collapses the two.
-        path: list[tuple[int, int]] = []  # (edge index, direction)
+        path: list[tuple[int, int, int]] = []  # (edge index, direction, vertex reached)
+        stack = [iter(adjacency[s])]
         used_edges: set[int] = set()
         on_path: set[int] = {s}
-
-        def extend(u: int) -> None:
-            for ei, w in g._adjacency[u]:
+        while stack:
+            u = path[-1][2] if path else s
+            for ei, w in stack[-1]:
                 if ei in used_edges:
                     continue
                 if w == s and path:
-                    direction = 1 if g._vindex[g.edges[ei].tail] == u else -1
-                    travs = [(g.edges[j].id, d) for j, d in path]
-                    travs.append((g.edges[ei].id, direction))
+                    direction = 1 if vindex[edges[ei].tail] == u else -1
+                    travs = [(edges[j].id, d) for j, d, _ in path]
+                    travs.append((edges[ei].id, direction))
                     add(travs)
                 elif w > s and w not in on_path:
-                    direction = 1 if g._vindex[g.edges[ei].tail] == u else -1
-                    path.append((ei, direction))
+                    direction = 1 if vindex[edges[ei].tail] == u else -1
+                    path.append((ei, direction, w))
                     used_edges.add(ei)
                     on_path.add(w)
-                    extend(w)
-                    on_path.remove(w)
+                    stack.append(iter(adjacency[w]))
+                    break
+            else:
+                stack.pop()
+                if path:
+                    ei, _, w = path.pop()
                     used_edges.remove(ei)
-                    path.pop()
-
-        extend(s)
+                    on_path.remove(w)
 
     return sorted(found.values(), key=lambda c: c._key)
 
 
-def spanning_tree(g: MultiGraph) -> tuple[set[int], dict[int, tuple[int, int]]]:
+def spanning_tree(g: MultiGraph) -> dict[int, tuple[int, int]]:
     """Breadth-first spanning tree from the least vertex, with edges
     scanned in input order.
 
-    Returns the set of tree edge indices and, for every non-root vertex
-    index, its ``(parent vertex index, connecting edge index)``; the
-    parent table lists the vertices in breadth-first order, so every
-    vertex comes after its parent.
+    Returns, for every non-root vertex index, its ``(parent vertex
+    index, connecting edge index)``; the connecting edges are the tree
+    edges, and the table lists the vertices in breadth-first order, so
+    every vertex comes after its parent.
     """
     root = g.vertex_index(g.least_vertex())
     parent: dict[int, tuple[int, int]] = {}
-    tree: set[int] = set()
     seen = {root}
     queue = deque([root])
     while queue:
@@ -478,64 +482,45 @@ def spanning_tree(g: MultiGraph) -> tuple[set[int], dict[int, tuple[int, int]]]:
             if w not in seen:
                 seen.add(w)
                 parent[w] = (u, ei)
-                tree.add(ei)
                 queue.append(w)
-    return tree, parent
+    return parent
 
 
-def _tree_path(g: MultiGraph, parent, start: int, goal: int) -> list[tuple[EdgeId, int]]:
-    """Traversals along the spanning tree from ``start`` to ``goal``."""
-    def ancestors(v: int) -> list[int]:
-        chain = [v]
-        while chain[-1] in parent:
-            chain.append(parent[chain[-1]][0])
-        return chain
+def fundamental_cycle_basis(
+    g: MultiGraph, parent: Mapping[int, tuple[int, int]] | None = None,
+) -> list[dict[int, int]]:
+    """One cycle per non-tree edge of :func:`spanning_tree` (its table
+    ``parent``, built when not given), as a sparse signed edge vector
+    ``{edge index: +1 or -1}``.
 
-    up_start = ancestors(start)
-    up_goal = ancestors(goal)
-    common = set(up_start) & set(up_goal)
-    lca = next(v for v in up_start if v in common)
-
-    def step(child: int) -> tuple[EdgeId, int]:
-        p, ei = parent[child]
-        edge = g.edges[ei]
-        direction = 1 if g._vindex[edge.tail] == child else -1
-        return (edge.id, direction)
-
-    down: list[tuple[EdgeId, int]] = []
-    v = start
-    while v != lca:
-        down.append(step(v))
-        v = parent[v][0]
-    up: list[tuple[EdgeId, int]] = []
-    v = goal
-    while v != lca:
-        e, d = step(v)
-        up.append((e, -d))
-        v = parent[v][0]
-    return down + list(reversed(up))
-
-
-def fundamental_cycle_basis(g: MultiGraph) -> list[Circuit]:
-    """One circuit per non-tree edge of a deterministic spanning tree.
-
-    The tree is grown breadth-first from the least vertex with edges
-    scanned in input order; each non-tree edge (loops included) closes a
-    unique circuit through the tree.  The resulting cycle vectors form an
-    integral basis of the kernel of the boundary map, so there are
-    exactly ``betti1(g)`` of them.
+    The cycle of a non-tree edge runs along it from tail to tip, then
+    through the tree back to the tail; a loop alone is a cycle.  The
+    vectors form an integral basis of the kernel of the boundary map,
+    so there are exactly ``betti1(g)`` of them.
     """
-    tree, parent = spanning_tree(g)
+    if parent is None:
+        parent = spanning_tree(g)
+    depth = {g.vertex_index(g.least_vertex()): 0}
+    for child, (up, _) in parent.items():  # parents come first
+        depth[child] = depth[up] + 1
+    tree = {ei for _, ei in parent.values()}
+    vindex, edges = g._vindex, g.edges
     basis = []
-    for i, e in enumerate(g.edges):
+    for i, e in enumerate(edges):
         if i in tree:
             continue
-        if e.is_loop:
-            basis.append(Circuit(g, [(e.id, 1)]))
-            continue
-        travs = [(e.id, 1)]
-        travs += _tree_path(g, parent, g.vertex_index(e.tip), g.vertex_index(e.tail))
-        basis.append(Circuit(g, travs))
+        cycle = {i: 1}
+        # Climb from both ends to their common ancestor: the tip side is
+        # walked upwards, the tail side downwards.
+        head, tail = vindex[e.tip], vindex[e.tail]
+        while head != tail:
+            if depth[head] >= depth[tail]:
+                head, ei = parent[head]
+                cycle[ei] = 1 if vindex[edges[ei].tip] == head else -1
+            else:
+                tail, ei = parent[tail]
+                cycle[ei] = 1 if vindex[edges[ei].tail] == tail else -1
+        basis.append(cycle)
     return basis
 
 
@@ -576,18 +561,23 @@ def maximal_chains(g: MultiGraph) -> list[list[int]]:
 
 
 def is_r_divided(g: MultiGraph, r: int) -> bool:
-    """Whether the graph arises from another graph by dividing every edge
-    into exactly r edges.
+    """Whether the dual graph of the minimal regular model (the
+    :func:`thickness_subdivision` of ``g``) arises from another graph by
+    dividing every edge into exactly r edges.
 
-    Subdividing an edge into r parts inserts r-1 vertices of degree 2, so
-    the test reduces to the maximal chains: the graph is r-divided if and
-    only if every maximal chain length is a multiple of r.
+    Subdividing an edge into r parts inserts r-1 vertices of degree 2,
+    so the test reduces to the maximal chains: the regular model is
+    r-divided if and only if every maximal chain of ``g`` has total
+    thickness divisible by r.  This is Lorenzini's sufficient condition
+    for a finite Neron model of the r-torsion.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
-    if r == 1:
-        return True
-    return all(len(chain) % r == 0 for chain in maximal_chains(g))
+    thickness = g.edge_thickness
+    return all(
+        sum(thickness[g.edges[ei].id] for ei in chain) % r == 0
+        for chain in maximal_chains(g)
+    )
 
 
 def thickness_subdivision(g: MultiGraph) -> MultiGraph:

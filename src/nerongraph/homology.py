@@ -355,11 +355,6 @@ def solve_mod(a: IntMatrix, b: Sequence[int], q: int) -> tuple[int, ...] | None:
     return x
 
 
-def image_contains_mod(a: IntMatrix, b: Sequence[int], q: int) -> bool:
-    """Whether b lies in the image of a modulo q."""
-    return solve_mod(a, b, q) is not None
-
-
 def kernel_generators_mod(a: IntMatrix, q: int) -> list[tuple[int, ...]]:
     """Generators of {x : a x = 0 (mod q)} as a Z/qZ-module.
 
@@ -396,6 +391,6 @@ def subgroup_contained_mod(
             raise DimensionMismatch(
                 f"generator of length {len(gen)} against {b_matrix.rows} rows"
             )
-        if not image_contains_mod(b_matrix, gen, q):
+        if solve_mod(b_matrix, gen, q) is None:
             return False
     return True

@@ -27,23 +27,27 @@ on a fundamental cycle basis gamma_1, ..., gamma_b1 (Grothendieck's
 monodromy pairing, SGA 7 IX; see :class:`CyclePairing`).
 
 * Phi is the cokernel of G, read off its Smith diagonal.
-* c is the gcd of the entries of G.
+* c is the gcd of the entries of G (:meth:`CyclePairing.c`, which
+  :func:`circuit_invariant_c` returns).
 * The edges in the support of the basis are exactly the nonseparating
   ones; t is the gcd of their thicknesses.
 * A multidegree lies in the image of the regular model's intersection
   matrix modulo r exactly when the pairing of the basis with a tree flow
   bounding it lies in the image of G modulo r.
 * The regular model is r-divided exactly when every maximal chain of the
-  given graph has total thickness divisible by r.
+  given graph has total thickness divisible by r
+  (:func:`~nerongraph.graph.is_r_divided`).
 
 The cost thus follows the size of the graph, not its thicknesses.  The
 subdivision itself stays available as
 :func:`~nerongraph.graph.thickness_subdivision` and serves the tests as
-an independent oracle for all of the above.  The thickness invariant t
-reads the given (stable) graph.  Keeping the two models straight is what
-makes the divisibility chain m1 | m2 | m3 | r*m1 hold for arbitrary
-thicknesses: every edge shared by two circuits is nonseparating, so t
-divides every entry of G and hence c.
+an independent oracle for all of the above, with c checked against the
+brute-force circuit gcd of :func:`~nerongraph.enumeration.brute_force_c`.
+The thickness invariant t reads the given (stable) graph.  Keeping the
+two models straight is what makes the divisibility chain
+m1 | m2 | m3 | r*m1 hold for arbitrary thicknesses: every edge shared
+by two circuits is nonseparating, so t divides every entry of G and
+hence c.
 """
 
 from __future__ import annotations
@@ -64,10 +68,8 @@ from .graph import (
     MultiGraph,
     VertexId,
     betti1,
-    enumerate_circuits,
     fundamental_cycle_basis,
     is_r_divided,
-    maximal_chains,
     spanning_tree,
     total_genus,
 )
@@ -142,8 +144,8 @@ def _gcd_all(values) -> int:
 class CyclePairing:
     """The thickness-weighted pairing on a fundamental cycle basis.
 
-    ``cycles[i]`` maps the edge indices of the i-th cycle of
-    :func:`fundamental_cycle_basis` to their coefficients +1 or -1, and
+    ``cycles[i]`` is the i-th cycle of :func:`fundamental_cycle_basis`,
+    mapping its edge indices to their coefficients +1 or -1, and
     ``gram`` is the b1 x b1 matrix of
     ``G_ij = sum_e thickness(e) * cycles[i][e] * cycles[j][e]``.  It is
     the unweighted pairing of the corresponding cycles of the thickness
@@ -156,10 +158,8 @@ class CyclePairing:
     __slots__ = ("graph", "cycles", "gram", "support", "parent")
 
     def __init__(self, g: MultiGraph) -> None:
-        cycles = tuple(
-            {g.edge_index(e): d for e, d in circuit.traversals}
-            for circuit in fundamental_cycle_basis(g)
-        )
+        parent = spanning_tree(g)
+        cycles = tuple(fundamental_cycle_basis(g, parent))
         through: dict[int, list[tuple[int, int]]] = {}
         for i, cycle in enumerate(cycles):
             for ei, sign in cycle.items():
@@ -177,7 +177,7 @@ class CyclePairing:
         self.cycles = cycles
         self.gram = IntMatrix(gram, cols=b)
         self.support = frozenset(through)
-        self.parent = spanning_tree(g)[1]
+        self.parent = parent
 
     def c(self) -> int:
         """gcd of the entries of G; 0 when the graph has no cycles."""
@@ -229,29 +229,19 @@ class CyclePairing:
         return solve_mod(self.gram, w, r) is not None
 
 
-def circuit_invariant_c(g: MultiGraph, *, via_circuits: bool = False) -> int:
-    """gcd of |signed_common_edges(a, b)| over all unordered pairs of
-    circuits, a pair of a circuit with itself included; 0 when the graph
-    has no circuits.  Thicknesses are ignored: this is c of the graph
-    itself, not of its regular model.
+def circuit_invariant_c(g: MultiGraph) -> int:
+    """The circuit invariant c of the minimal regular model: the gcd of
+    the signed numbers of edges shared by pairs of its circuits (a
+    circuit paired with itself counts its length); 0 when the graph has
+    no circuits.
 
-    The default path evaluates the gcd on the Gram matrix of a
-    fundamental cycle basis, which is always available: every circuit is
-    an integral combination of basis circuits and every basis entry is
-    itself a circuit pair, so by bilinearity the two gcds agree.  With
-    ``via_circuits=True`` all circuits are enumerated instead (subject to
-    the enumeration cap).
+    The subdivided basis cycles are circuits of the regular model, every
+    circuit is an integral combination of them, and G holds their
+    pairings, so by bilinearity c is the gcd of the entries of G
+    (:meth:`CyclePairing.c`).  With unit thicknesses it is c of the graph
+    itself.
     """
-    if via_circuits:
-        circuits = enumerate_circuits(g)
-    else:
-        circuits = fundamental_cycle_basis(g)
-    vectors = [c.cycle_vector() for c in circuits]
-    return _gcd_all(
-        abs(vectors[i].dot(vectors[j]))
-        for i in range(len(vectors))
-        for j in range(i, len(vectors))
-    )
+    return CyclePairing(g).c()
 
 
 def thickness_invariant_t(g: MultiGraph) -> int:
@@ -367,15 +357,6 @@ def divisibility_chain(m1: int, m2: int, m3: int, r: int) -> bool:
     return m2 % m1 == 0 and m3 % m2 == 0 and (r * m1) % m3 == 0
 
 
-def lorenzini_sufficient(g: MultiGraph, r: int) -> bool:
-    """The classical sufficient condition: the graph is r-divided.
-
-    When true, the group Neron model is finite; the converse fails, so
-    this is strictly weaker than the circuit criterion.
-    """
-    return is_r_divided(g, r)
-
-
 def analyze(d: ReductionData) -> AnalysisReport:
     """Run the full battery of invariants and verdicts on one input.
 
@@ -396,7 +377,6 @@ def analyze(d: ReductionData) -> AnalysisReport:
     c, t = p.c(), p.t()
     group_finite = c % r == 0
     degrees = None if d.multidegree is None else d.multidegree_vector()
-    thickness = g.edge_thickness
     genus = total_genus(g)
     return AnalysisReport(
         b1=betti1(g),
@@ -413,10 +393,7 @@ def analyze(d: ReductionData) -> AnalysisReport:
             None if degrees is None
             else group_finite and p.in_image_mod(degrees, r)
         ),
-        r_divided=all(
-            sum(thickness[g.edges[ei].id] for ei in chain) % r == 0
-            for chain in maximal_chains(g)
-        ),
+        r_divided=is_r_divided(g, r),
         twisted_roots_finite=(
             None if degrees is None else _twisted_roots(p, degrees, r)
         ),

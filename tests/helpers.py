@@ -17,7 +17,6 @@ from nerongraph import (
     IntMatrix,
     MultiGraph,
     ReductionData,
-    circuit_invariant_c,
     intersection_matrix,
     is_full_r_torsion,
     is_nonseparating,
@@ -28,6 +27,7 @@ from nerongraph import (
     solve_mod,
     thickness_subdivision,
 )
+from nerongraph.enumeration import brute_force_c
 
 
 # -- small graphs -----------------------------------------------------------
@@ -201,8 +201,8 @@ def phi_from_presentation(g: MultiGraph) -> tuple[int, ...]:
 
 def regular_model_report(d: ReductionData) -> dict:
     """The report fields that depend on the thicknesses, computed on the
-    thickness subdivision: Phi and Phi[r] from its Laplacian, c from its
-    unweighted cycle basis, the group verdict as Phi[r] = (Z/r)^b1, the
+    thickness subdivision: Phi and Phi[r] from its Laplacian, c as the
+    gcd over all pairs of its circuits, the group verdict as Phi[r] = (Z/r)^b1, the
     torsor verdict as membership in the image of its intersection matrix
     modulo r, r-divided from its chains, and t and the twisted verdict
     from a breadth-first search per edge of the given graph."""
@@ -212,7 +212,7 @@ def regular_model_report(d: ReductionData) -> dict:
     out = {
         "phi": phi_group(reg),
         "phi_r": phi_r_torsion(reg, r),
-        "c": circuit_invariant_c(reg),
+        "c": brute_force_c(reg),
         "t": 0,
         "group_neron_finite": group,
         "r_divided": is_r_divided(reg, r),

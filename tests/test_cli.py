@@ -175,6 +175,27 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert "edges" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("doc,field", [
+        ({"r": "x" * 5_000_000, "vertices": [{"id": "v0"}]}, "r: expected integer, got string"),
+        ({"name": json.loads("[" * 900 + "]" * 900), "r": 2}, "name: expected string, got array"),
+        ({"r": 2, "k" * 1_000_000: 1}, "document.kkk"),
+        ({"r": 2, "vertices": [{"id": "v0"}], "multidegree": {"v" * 1_000_000: "1"}},
+         "multidegree.vvv"),
+    ])
+    def test_parse_errors_echo_no_values(self, tmp_path, capsys, doc, field):
+        assert main(["analyze", write(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and len(err.encode()) < 300
+
+    def test_duplicate_long_key_is_cut(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        key = "k" * 1_000_000
+        path.write_text(f'{{"r": 2, "{key}": 1, "{key}": 2}}')
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "duplicate key" in err and len(err.encode()) < 300
+
+
 class TestParseInputDocument:
     def test_defaults_applied(self):
         doc = {

@@ -100,6 +100,14 @@ class TestSpanningTreeCount:
             g = random_connected_multigraph(rng, max_edges=12)
             assert phi_group(g).order == spanning_tree_count(g)
 
+    def test_long_cycle_refused_with_its_limit(self):
+        from nerongraph import NeronGraphError
+        from nerongraph.component_group import MAX_TREE_COUNT_EDGES
+
+        assert spanning_tree_count(cycle_graph(MAX_TREE_COUNT_EDGES)) == MAX_TREE_COUNT_EDGES
+        with pytest.raises(NeronGraphError, match=str(MAX_TREE_COUNT_EDGES)):
+            spanning_tree_count(cycle_graph(1200))
+
 
 class TestPhiTorsion:
     def test_banana_two_torsion(self):
@@ -171,7 +179,7 @@ class TestCoboundaryWitness:
             coboundary_witness(g, OrientedCycleVector({"e0": 1}), 2)
 
     def test_witness_exists_iff_criterion_admits(self):
-        from nerongraph import enumerate_circuits, image_contains_mod
+        from nerongraph import enumerate_circuits, solve_mod
 
         for g in connected_multigraphs(4):
             delta = coboundary_matrix(g)
@@ -179,7 +187,7 @@ class TestCoboundaryWitness:
                 for c in enumerate_circuits(g):
                     z = c.cycle_vector()
                     witness = coboundary_witness(g, z, q)
-                    member = image_contains_mod(delta, z.to_edge_vector(g), q)
+                    member = solve_mod(delta, z.to_edge_vector(g), q) is not None
                     assert (witness is not None) == member
 
 

@@ -10,7 +10,6 @@ from nerongraph import (
     UnknownEdge,
     betti1,
     boundary_matrix,
-    build_graph,
     enumerate_circuits,
     fundamental_cycle_basis,
     is_nonseparating,
@@ -26,7 +25,7 @@ from helpers import banana, barbell, cycle_graph, loop_graph, naive_circuits, pa
 
 class TestBuildGraph:
     def test_single_loop(self):
-        g = build_graph(["v"], [("e", "v", "v")])
+        g = MultiGraph(["v"], [("e", "v", "v")])
         assert g.n_vertices == 1 and g.n_edges == 1
         assert g.edges[0].is_loop
 
@@ -38,17 +37,17 @@ class TestBuildGraph:
 
     def test_disconnected_rejected(self):
         with pytest.raises(Disconnected):
-            build_graph(["a", "b"], [])
+            MultiGraph(["a", "b"], [])
 
     def test_dangling_endpoint_rejected(self):
         with pytest.raises(DanglingEndpoint):
-            build_graph(["a"], [("e", "a", "zzz")])
+            MultiGraph(["a"], [("e", "a", "zzz")])
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DuplicateId):
-            build_graph(["a", "a"], [])
+            MultiGraph(["a", "a"], [])
         with pytest.raises(DuplicateId):
-            build_graph(["a", "b"], [("e", "a", "b"), ("e", "b", "a")])
+            MultiGraph(["a", "b"], [("e", "a", "b"), ("e", "b", "a")])
 
     def test_bad_decorations_rejected(self):
         with pytest.raises(ValueError):
@@ -194,6 +193,14 @@ class TestEnumerateCircuits:
         for g in connected_multigraphs(6):
             assert set(enumerate_circuits(g)) == naive_circuits(g)
 
+    def test_long_cycle_without_recursion(self):
+        from nerongraph.enumeration import brute_force_c
+
+        g = cycle_graph(1200)
+        (circuit,) = enumerate_circuits(g)
+        assert len(circuit) == 1200
+        assert brute_force_c(g) == 1200
+
 
 class TestSignedCommonEdges:
     def test_self_intersection_is_length(self):
@@ -243,6 +250,29 @@ class TestFundamentalCycleBasis:
         basis = fundamental_cycle_basis(barbell())
         assert len(basis) == 2 and all(len(c) == 1 for c in basis)
 
+    def test_signed_edge_vectors(self):
+        # The non-tree edge e1 runs tail to tip, then the tree edge e0 is
+        # walked backwards.
+        assert fundamental_cycle_basis(banana()) == [{1: 1, 0: -1}]
+        assert fundamental_cycle_basis(barbell()) == [{0: 1}, {2: 1}]
+
+    def test_builds_no_circuit(self, monkeypatch):
+        import time
+
+        import nerongraph.graph as graph_module
+        from nerongraph import ReductionData, analyze
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cycle basis built a Circuit")
+
+        monkeypatch.setattr(graph_module.Circuit, "__init__", refuse)
+        g = cycle_graph(3000)
+        start = time.perf_counter()
+        (cycle,) = fundamental_cycle_basis(g)
+        report = analyze(ReductionData(graph=g, r=4))
+        assert time.perf_counter() - start < 1.0
+        assert len(cycle) == 3000 and report.c == 3000
+
     def test_size_is_betti_number_exhaustively(self):
         for g in connected_multigraphs(5):
             assert len(fundamental_cycle_basis(g)) == betti1(g)
@@ -250,8 +280,8 @@ class TestFundamentalCycleBasis:
     def test_vectors_lie_in_boundary_kernel(self):
         for g in connected_multigraphs(5):
             boundary = boundary_matrix(g)
-            for c in fundamental_cycle_basis(g):
-                column = c.cycle_vector().to_edge_vector(g)
+            for cycle in fundamental_cycle_basis(g):
+                column = [cycle.get(i, 0) for i in range(g.n_edges)]
                 assert all(x == 0 for x in boundary.apply(column))
 
     def test_enumerated_circuits_lie_in_boundary_kernel(self):

@@ -23,7 +23,7 @@ from nerongraph import (
     index_m2,
     index_m3,
     is_full_r_torsion,
-    lorenzini_sufficient,
+    is_r_divided,
     paper_fixtures,
     thickness_invariant_t,
     thickness_subdivision,
@@ -32,7 +32,11 @@ from nerongraph import (
     torsor_neron_finite,
     twisted_roots_finite,
 )
-from nerongraph.enumeration import connected_multigraphs, random_connected_multigraph
+from nerongraph.enumeration import (
+    brute_force_c,
+    connected_multigraphs,
+    random_connected_multigraph,
+)
 from nerongraph.graph import maximal_chains
 from nerongraph.invariants import CyclePairing
 
@@ -63,7 +67,13 @@ class TestCircuitInvariant:
 
     def test_gram_agrees_with_brute_force_exhaustively(self):
         for g in connected_multigraphs(6):
-            assert circuit_invariant_c(g) == circuit_invariant_c(g, via_circuits=True)
+            assert circuit_invariant_c(g) == brute_force_c(g)
+
+    def test_uneven_banana_refers_to_regular_model(self):
+        # Thicknesses (1, 2) resolve the banana into a triangle.
+        g = banana(edge_thickness={"e0": 1, "e1": 2})
+        assert circuit_invariant_c(g) == 3
+        assert circuit_invariant_c(g) == brute_force_c(thickness_subdivision(g))
 
 
 class TestThicknessInvariant:
@@ -252,23 +262,41 @@ class TestDivisibilityChain:
 
 class TestLorenzini:
     def test_banana_r2(self):
-        assert lorenzini_sufficient(banana(), 2)
+        assert is_r_divided(banana(), 2)
+
+    def test_uneven_banana_r2_not_divided(self):
+        # Thicknesses (1, 2): the regular model is a triangle, which is
+        # not 2-divided, and the group model is not finite (c = 3).
+        g = banana(edge_thickness={"e0": 1, "e1": 2})
+        assert not is_r_divided(g, 2)
+        assert not group_neron_finite(ReductionData(graph=g, r=2))
 
     def test_two_squares_bridge_not_divided_but_finite(self):
         g = fixture("two-squares-bridge")
-        assert not lorenzini_sufficient(g, 4)
+        assert not is_r_divided(g, 4)
         assert group_neron_finite(ReductionData(graph=g, r=4))
 
     def test_grid_not_divided_but_finite(self):
         g = fixture("grid")
-        assert not lorenzini_sufficient(g, 2)
+        assert not is_r_divided(g, 2)
         assert group_neron_finite(ReductionData(graph=g, r=2))
 
     def test_sufficiency_exhaustively(self):
         for g in connected_multigraphs(5):
             for r in (2, 3, 4):
-                if lorenzini_sufficient(g, r):
+                if is_r_divided(g, r):
                     assert group_neron_finite(ReductionData(graph=g, r=r))
+        rng = random.Random(17)
+        divided = 0
+        for _ in range(300):
+            g = random_connected_multigraph(rng, max_edges=8, thickness_range=(1, 6))
+            r = rng.randint(2, 4)
+            d = ReductionData(graph=g, r=r)
+            assert circuit_invariant_c(g) == analyze(d).c
+            if is_r_divided(g, r):
+                divided += 1
+                assert group_neron_finite(d)
+        assert divided > 0
 
 
 class TestReductionData:
@@ -393,6 +421,8 @@ class TestPairingAgainstSubdivision:
             degrees[-1] -= sum(degrees) % r
             d = ReductionData(graph=g, r=r, multidegree=dict(zip(g.vertices, degrees)))
             report = analyze(d)
+            assert report.c == circuit_invariant_c(g)
+            assert report.r_divided == is_r_divided(g, r)
             assert report.t == thickness_invariant_t(g)
             assert report.m2 == index_m2(d) and report.m3 == index_m3(d)
             assert report.group_neron_finite == group_neron_finite(d)
