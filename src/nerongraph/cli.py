@@ -33,7 +33,7 @@ import sys
 from typing import Any
 
 from . import __version__
-from .errors import BadModulus, BoundsTooLarge, NeronGraphError, ParseError
+from .errors import BadModulus, BoundsTooLarge, NeronGraphError, ParseError, shown
 from .graph import MultiGraph, total_genus
 from .invariants import AnalysisReport, ReductionData, analyze
 from .fixtures import paper_fixtures
@@ -46,18 +46,10 @@ from .enumeration import verify_equivalence
 # JSON type names by decoded Python type; bool before int, its base class.
 _JSON_TYPES = ((bool, "boolean"), (int, "integer"), (float, "number"),
                (str, "string"), (list, "array"), (dict, "object"))
-_SHOWN_KEY_CHARS = 40
 
 
 def _json_type(value: Any) -> str:
     return next((name for kind, name in _JSON_TYPES if isinstance(value, kind)), "null")
-
-
-def _key(key: str) -> str:
-    """A document key for a message, cut to a bounded length."""
-    if len(key) <= _SHOWN_KEY_CHARS:
-        return key
-    return f"{key[:_SHOWN_KEY_CHARS]}... ({len(key)} characters)"
 
 
 def _expect(value: Any, kind: type, path: str) -> Any:
@@ -75,7 +67,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ParseError(f"{_key(key)}: duplicate key")
+            raise ParseError(f"{shown(key)}: duplicate key")
         obj[key] = value
     return obj
 
@@ -83,7 +75,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 def _known_keys(obj: dict, allowed: set[str], path: str) -> None:
     for key in obj:
         if key not in allowed:
-            raise ParseError(f"{path}.{_key(key)}: unknown field")
+            raise ParseError(f"{path}.{shown(key)}: unknown field")
 
 
 def parse_input_document(obj: Any) -> tuple[str, ReductionData]:
@@ -138,7 +130,7 @@ def parse_input_document(obj: Any) -> tuple[str, ReductionData]:
         multidegree = {}
         for key, value in md.items():
             multidegree[_expect(key, str, "multidegree key")] = _expect(
-                value, int, f"multidegree.{_key(key)}"
+                value, int, f"multidegree.{shown(key)}"
             )
 
     graph = MultiGraph(vertices, edges, genus, thickness, stabilizer)

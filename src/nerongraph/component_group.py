@@ -13,15 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from .errors import BoundsTooLarge, MalformedSpectrum, NotACycle
-from .graph import MultiGraph, OrientedCycleVector, betti1
+from .errors import BoundsTooLarge, MalformedSpectrum
+from .graph import MultiGraph, betti1
 from .homology import (
     boundary_matrix,
     coboundary_matrix,
     intersection_matrix,
     kernel_generators_mod,
     smith_normal_form,
-    solve_mod,
     subgroup_contained_mod,
 )
 
@@ -181,24 +180,3 @@ def homological_criterion(g: MultiGraph, q: int) -> bool:
     gens = kernel_generators_mod(boundary_matrix(g), q)
     return subgroup_contained_mod(gens, coboundary_matrix(g), q)
 
-
-def coboundary_witness(
-    g: MultiGraph, z: OrientedCycleVector, q: int
-) -> tuple[int, ...] | None:
-    """A vertex potential A with (coboundary mod q)(A) = z, or None.
-
-    The cycle vector must lie in the kernel of the boundary map modulo q,
-    otherwise :class:`NotACycle` is raised.  A returned witness has been
-    re-verified against z before being handed back.
-    """
-    zvec = z.to_edge_vector(g)
-    if any(x % q != 0 for x in boundary_matrix(g).apply(zvec)):
-        raise NotACycle("vector is not a cycle modulo q")
-    delta = coboundary_matrix(g)
-    witness = solve_mod(delta, zvec, q)
-    if witness is None:
-        return None
-    check = delta.apply(witness)
-    if any((a - b) % q != 0 for a, b in zip(check, zvec)):
-        raise AssertionError("witness failed re-verification")
-    return witness

@@ -3,7 +3,20 @@
 Everything raised on bad input derives from :class:`NeronGraphError`, so
 callers (in particular the command line front end) can distinguish
 validation failures from programming errors with a single except clause.
+Messages name the offending field or id, cut by :func:`shown`, and never
+echo an unbounded value.
 """
+
+#: Most characters of an id or key that an error message shows.
+SHOWN_CHARS = 40
+
+
+def shown(text: str) -> str:
+    """``text`` for an error message, cut to :data:`SHOWN_CHARS`
+    characters."""
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
 
 
 class NeronGraphError(Exception):

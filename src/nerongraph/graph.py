@@ -37,6 +37,7 @@ from .errors import (
     DuplicateId,
     TooManyCircuits,
     UnknownEdge,
+    shown,
 )
 
 VertexId = int | str
@@ -45,6 +46,9 @@ EdgeId = int | str
 #: Default cap for :func:`enumerate_circuits`; circuit counts grow
 #: exponentially and this tool targets desk-scale dual graphs.
 DEFAULT_CIRCUIT_LIMIT = 10**6
+
+# How many unreachable vertices a Disconnected error names.
+_SHOWN_UNREACHABLE = 3
 
 
 class Edge(NamedTuple):
@@ -106,17 +110,18 @@ class MultiGraph:
         vindex: dict[VertexId, int] = {}
         for v in vs:
             if v in vindex:
-                raise DuplicateId(f"duplicate vertex id {v!r}")
+                raise DuplicateId(f"duplicate vertex id {shown(repr(v))}")
             vindex[v] = len(vindex)
         eindex: dict[EdgeId, int] = {}
         for e in es:
             if e.id in eindex:
-                raise DuplicateId(f"duplicate edge id {e.id!r}")
+                raise DuplicateId(f"duplicate edge id {shown(repr(e.id))}")
             eindex[e.id] = len(eindex)
             for endpoint in (e.tail, e.tip):
                 if endpoint not in vindex:
                     raise DanglingEndpoint(
-                        f"edge {e.id!r} refers to unknown vertex {endpoint!r}"
+                        f"edge {shown(repr(e.id))} refers to unknown vertex "
+                        f"{shown(repr(endpoint))}"
                     )
         if not vs:
             raise Disconnected("a graph needs at least one vertex")
@@ -128,9 +133,11 @@ class MultiGraph:
             table = {k: default for k in keys}
             for k, value in (given or {}).items():
                 if k not in index:
-                    raise DanglingEndpoint(f"{what} for unknown id {k!r}")
+                    raise DanglingEndpoint(f"{what} for unknown id {shown(repr(k))}")
                 if not isinstance(value, int) or isinstance(value, bool) or value < least:
-                    raise ValueError(f"{what} of {k!r} must be an integer >= {least}")
+                    raise ValueError(
+                        f"{what} of {shown(repr(k))} must be an integer >= {least}"
+                    )
                 table[k] = value
             return table
 
@@ -159,7 +166,12 @@ class MultiGraph:
         seen = self._reachable_from(0, skip_edge=None)
         if len(seen) != len(vs):
             missing = [v for v in vs if vindex[v] not in seen]
-            raise Disconnected(f"graph is not connected; unreachable: {missing!r}")
+            first = ", ".join(shown(repr(v)) for v in missing[:_SHOWN_UNREACHABLE])
+            more = ", ..." if len(missing) > _SHOWN_UNREACHABLE else ""
+            raise Disconnected(
+                f"graph is not connected; {len(missing)} unreachable "
+                f"vertices: {first}{more}"
+            )
 
     # -- basic accessors -------------------------------------------------
 
@@ -198,7 +210,7 @@ class MultiGraph:
         try:
             return self._eindex[e]
         except KeyError:
-            raise UnknownEdge(f"no edge with id {e!r}") from None
+            raise UnknownEdge(f"no edge with id {shown(repr(e))}") from None
 
     def edge(self, e: EdgeId) -> Edge:
         return self._edges[self.edge_index(e)]

@@ -5,6 +5,13 @@ matrix M = -(boundary o coboundary), Smith normal form over the integers
 with unimodular transforms, and solvability/kernels of linear systems
 modulo an arbitrary (possibly composite) positive integer q.
 
+One elimination computes the Smith form.  :func:`smith_normal_form` runs
+it at once without tracking the transforms, which is all that the
+invariant factors (and so the component group) need, and runs it again
+with the transforms tracked on the first read of U, D or V, which only
+the solvers modulo q need.  Its memo holds whatever has been computed
+for each matrix.
+
 Everything is computed with Python's arbitrary-precision integers; no
 floating point is used anywhere.  Smith reduction of integer Laplacians
 overflows fixed-width integers even at modest sizes, so exactness is
@@ -13,7 +20,6 @@ non-negotiable here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
@@ -54,8 +60,11 @@ class IntMatrix:
         return x
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(((0,) * cols for _ in range(rows)), cols=cols)
+    def _trusted(cls, data: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
+        """A matrix over rows that are already tuples of ``cols`` ints."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._data = len(data), cols, data
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -112,31 +121,6 @@ class IntMatrix:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self._data[i][i] for i in range(min(self.rows, self.cols)))
 
-    def determinant(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise DimensionMismatch("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.row_list()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, IntMatrix)
@@ -151,127 +135,174 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self._data]!r})"
 
 
-@dataclass(frozen=True)
+def _pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
+    """Smallest nonzero absolute value in the trailing submatrix, ties
+    broken by row-major position."""
+    best, best_abs = None, 0
+    for i in range(t, len(d)):
+        low = min(map(abs, filter(None, d[i][t:])), default=0)
+        if low and (best is None or low < best_abs):
+            best, best_abs = i, low
+            if low == 1:
+                break
+    if best is None:
+        return None
+    row = d[best]
+    return best, next(j for j in range(t, len(row)) if abs(row[j]) == best_abs)
+
+
+def _eliminate(
+    a: IntMatrix, transforms: bool
+) -> tuple[tuple[int, ...], tuple[IntMatrix, IntMatrix, IntMatrix] | None]:
+    """The Smith diagonal of a, and with ``transforms`` also U, D and V.
+
+    At step t the pivot moves to (t, t), row operations clear column t
+    below it and column operations row t to its right; while that leaves
+    a remainder the step starts over, and once both are clear an entry
+    that the pivot does not divide has its row added to row t.  Rows and
+    columns before t are already zero from column and row t on, so every
+    operation runs over the trailing columns only.  Whether or not the
+    transforms are tracked, D goes through the same states.  V is kept
+    transposed, so that its column operations are row operations.
+    """
+    rows, cols = a.rows, a.cols
+    d = a.row_list()
+    if transforms:
+        u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+        vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    for t in range(min(rows, cols)):
+        while True:
+            p = _pivot(d, t)
+            if p is None:
+                break
+            i, j = p
+            d[t], d[i] = d[i], d[t]
+            if j != t:
+                for row in d[t:]:
+                    row[t], row[j] = row[j], row[t]
+            if transforms:
+                u[t], u[i] = u[i], u[t]
+                vt[t], vt[j] = vt[j], vt[t]
+            prow = d[t]
+            pivot = prow[t]
+            tail = prow[t:]
+            dirty = False
+            for i in range(t + 1, rows):
+                row = d[i]
+                if row[t]:
+                    f = -(row[t] // pivot)
+                    row[t:] = [x + f * y for x, y in zip(row[t:], tail)]
+                    if transforms:
+                        u[i] = [x + f * y for x, y in zip(u[i], u[t])]
+                    if row[t]:
+                        dirty = True
+            column = [(row, row[t]) for row in d[t:] if row[t]]
+            if not transforms and len(column) == 1:
+                # Column t holds the pivot alone: clearing row t changes
+                # no other row.
+                prow[t + 1:] = [x % pivot for x in prow[t + 1:]]
+                dirty = any(prow[t + 1:])
+            else:
+                for j in range(t + 1, cols):
+                    if prow[j]:
+                        f = -(prow[j] // pivot)
+                        for row, y in column:
+                            row[j] += f * y
+                        if transforms:
+                            vt[j] = [x + f * y for x, y in zip(vt[j], vt[t])]
+                        if prow[j]:
+                            dirty = True
+            if dirty:
+                continue
+            if pivot in (1, -1):
+                break
+            # Row and column are clear; enforce divisibility of the rest.
+            offender = next(
+                (i for i in range(t + 1, rows) if any(x % pivot for x in d[i][t + 1:])),
+                None,
+            )
+            if offender is None:
+                break
+            prow[t:] = [x + y for x, y in zip(prow[t:], d[offender][t:])]
+            if transforms:
+                u[t] = [x + y for x, y in zip(u[t], u[offender])]
+        if p is None:
+            break
+
+    diagonal = tuple(abs(d[t][t]) for t in range(min(rows, cols)))
+    if not transforms:
+        return diagonal, None
+    for t, x in enumerate(diagonal):
+        if d[t][t] != x:
+            d[t] = [-y for y in d[t]]
+            u[t] = [-y for y in u[t]]
+    return diagonal, (
+        IntMatrix._trusted(tuple(map(tuple, u)), rows),
+        IntMatrix._trusted(tuple(map(tuple, d)), cols),
+        IntMatrix._trusted(tuple(zip(*vt)), cols),
+    )
+
+
 class SmithDecomposition:
     """Unimodular U, V and diagonal D with U A V = D.
 
     The diagonal entries are nonnegative, each divides the next, and
-    zeros trail.
+    zeros trail.  Built by hand from ``(u, d, v)``, it holds them and
+    reads its diagonal off d.  From :func:`smith_normal_form` it holds A
+    and the diagonal, computed at once without the transforms; U, D and
+    V are computed together on the first read of any of them and kept.
     """
 
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
+    __slots__ = ("_a", "_udv", "_diagonal")
+
+    def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix) -> None:
+        self._a = None
+        self._udv = (u, d, v)
+        self._diagonal = d.diagonal()
+
+    @classmethod
+    def _of(cls, a: IntMatrix) -> "SmithDecomposition":
+        snf = cls.__new__(cls)
+        snf._a = a
+        snf._diagonal, snf._udv = _eliminate(a, transforms=False)
+        return snf
+
+    def _transforms(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+        if self._udv is None:
+            # Threads that race here compute equal values; either may win.
+            self._udv = _eliminate(self._a, transforms=True)[1]
+        return self._udv
 
     @property
     def diagonal(self) -> tuple[int, ...]:
-        return self.d.diagonal()
+        return self._diagonal
 
+    @property
+    def u(self) -> IntMatrix:
+        return self._transforms()[0]
 
-def _pivot(d: list[list[int]], t: int, rows: int, cols: int) -> tuple[int, int] | None:
-    """Smallest nonzero absolute value in the trailing submatrix, ties
-    broken by row-major position."""
-    best = None
-    best_val = None
-    for i in range(t, rows):
-        row = d[i]
-        for j in range(t, cols):
-            x = row[j]
-            if x != 0:
-                a = abs(x)
-                if best_val is None or a < best_val:
-                    best, best_val = (i, j), a
-                    if a == 1:
-                        return best
-    return best
+    @property
+    def d(self) -> IntMatrix:
+        return self._transforms()[1]
+
+    @property
+    def v(self) -> IntMatrix:
+        return self._transforms()[2]
 
 
 @lru_cache(maxsize=None)
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms, deterministically.
+    """Smith normal form of a, deterministically.
 
     Pivots are chosen as the smallest nonzero absolute value (row-major
     on ties) and diagonal entries are sign-normalised to be nonnegative,
-    so a given matrix always yields the same decomposition.  The result
-    is cached on the (hashable) input matrix.
+    so a given matrix always yields the same decomposition.  The
+    diagonal is computed here; U, D and V on their first read, by the
+    same elimination with the transforms tracked.  The result is cached
+    on the (hashable) input matrix and holds whatever has been computed
+    of it.
     """
-    rows, cols = a.rows, a.cols
-    d = a.row_list()
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, factor):
-        drow, srow = d[dst], d[src]
-        for j in range(cols):
-            drow[j] += factor * srow[j]
-        urow, usrc = u[dst], u[src]
-        for j in range(rows):
-            urow[j] += factor * usrc[j]
-
-    def add_col(src, dst, factor):
-        for row in d:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    for t in range(min(rows, cols)):
-        while True:
-            p = _pivot(d, t, rows, cols)
-            if p is None:
-                break
-            swap_rows(t, p[0])
-            swap_cols(t, p[1])
-            pivot = d[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    add_row(t, i, -(d[i][t] // pivot))
-                    if d[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    add_col(t, j, -(d[t][j] // pivot))
-                    if d[t][j] != 0:
-                        dirty = True
-            if dirty:
-                continue
-            # Row and column are clear; enforce divisibility of the rest.
-            offender = None
-            for i in range(t + 1, rows):
-                row = d[i]
-                for j in range(t + 1, cols):
-                    if row[j] % pivot != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-        if p is None:
-            break
-
-    for t in range(min(rows, cols)):
-        if d[t][t] < 0:
-            for j in range(cols):
-                d[t][j] = -d[t][j]
-            for j in range(rows):
-                u[t][j] = -u[t][j]
-
-    return SmithDecomposition(
-        IntMatrix(u, cols=rows), IntMatrix(d, cols=cols), IntMatrix(v, cols=cols)
-    )
-
+    return SmithDecomposition._of(a)
 
 # -- graph matrices --------------------------------------------------------
 

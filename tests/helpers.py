@@ -4,7 +4,10 @@ The oracles here deliberately avoid the code paths they are used to
 check: circuits are enumerated by a blunt depth-first search over edge
 traversals, membership modulo q by exhaustive search over (Z/q)^cols,
 and the component group once more through the quotient-of-images
-presentation via stacked Smith reductions.
+presentation via stacked Smith reductions.  The matrix helpers that
+only the tests need (zero matrices, the Bareiss determinant
+that checks Smith transforms are unimodular) and the coboundary witness
+live here too.
 """
 
 from __future__ import annotations
@@ -14,9 +17,14 @@ from math import gcd
 
 from nerongraph import (
     Circuit,
+    DimensionMismatch,
     IntMatrix,
     MultiGraph,
+    NotACycle,
+    OrientedCycleVector,
     ReductionData,
+    boundary_matrix,
+    coboundary_matrix,
     intersection_matrix,
     is_full_r_torsion,
     is_nonseparating,
@@ -28,6 +36,53 @@ from nerongraph import (
     thickness_subdivision,
 )
 from nerongraph.enumeration import brute_force_c
+
+
+# -- matrices ---------------------------------------------------------------
+
+
+def zeros(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(((0,) * cols for _ in range(rows)), cols=cols)
+
+
+def determinant(a: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if a.rows != a.cols:
+        raise DimensionMismatch("determinant of a non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = a.row_list()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def determinantal_divisors(a: IntMatrix) -> list[int]:
+    """d_k = gcd of the k x k minors of a, for k = 1 .. min(rows, cols);
+    the Smith diagonal is d_1, d_2 / d_1, d_3 / d_2, ... (0 once d_k is 0)."""
+    out = []
+    for k in range(1, min(a.rows, a.cols) + 1):
+        g = 0
+        for rows in itertools.combinations(range(a.rows), k):
+            for cols in itertools.combinations(range(a.cols), k):
+                minor = IntMatrix([[a[i, j] for j in cols] for i in rows], cols=k)
+                g = gcd(g, determinant(minor))
+        out.append(g)
+    return out
 
 
 # -- small graphs -----------------------------------------------------------
@@ -117,6 +172,28 @@ def naive_circuits(g: MultiGraph) -> set[Circuit]:
     return out
 
 
+def coboundary_witness(
+    g: MultiGraph, z: OrientedCycleVector, q: int
+) -> tuple[int, ...] | None:
+    """A vertex potential A with (coboundary mod q)(A) = z, or None.
+
+    The cycle vector must lie in the kernel of the boundary map modulo q,
+    otherwise :class:`NotACycle` is raised.  A returned witness has been
+    re-verified against z before being handed back.
+    """
+    zvec = z.to_edge_vector(g)
+    if any(x % q != 0 for x in boundary_matrix(g).apply(zvec)):
+        raise NotACycle("vector is not a cycle modulo q")
+    delta = coboundary_matrix(g)
+    witness = solve_mod(delta, zvec, q)
+    if witness is None:
+        return None
+    check = delta.apply(witness)
+    if any((a - b) % q != 0 for a, b in zip(check, zvec)):
+        raise AssertionError("witness failed re-verification")
+    return witness
+
+
 def brute_image_contains(a: IntMatrix, b, q: int) -> bool:
     """Exhaustive search for x with a x = b (mod q)."""
     for x in itertools.product(range(q), repeat=a.cols):
@@ -170,8 +247,6 @@ def phi_from_presentation(g: MultiGraph) -> tuple[int, ...]:
     """Invariant factors of im(boundary) / im(boundary o coboundary),
     computed through stacked Smith reductions, independent of phi_group.
     """
-    from nerongraph import boundary_matrix
-
     boundary = boundary_matrix(g)
     m = boundary * boundary.transpose()  # -M; same image lattice as M
     snf = smith_normal_form(boundary)

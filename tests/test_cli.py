@@ -187,6 +187,19 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert field in err and len(err.encode()) < 300
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"r": 2, "vertices": [{"id": "v" * 1_000_000}, {"id": "v" * 1_000_000}]},
+         "duplicate vertex id 'vvv"),
+        ({"r": 2, "vertices": [{"id": f"v{i}"} for i in range(20000)]},
+         "19999 unreachable vertices: 'v1', 'v2', 'v3', ..."),
+        ({"r": -(10**4000 - 1), "vertices": [{"id": "v0"}]},
+         "r must be a positive integer"),
+    ], ids=["duplicate-id", "disconnected", "huge-negative-r"])
+    def test_graph_and_reduction_errors_are_bounded(self, tmp_path, capsys, doc, message):
+        assert main(["analyze", write(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.encode()) < 300
+
     def test_duplicate_long_key_is_cut(self, tmp_path, capsys):
         path = tmp_path / "dup.json"
         key = "k" * 1_000_000

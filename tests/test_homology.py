@@ -17,9 +17,18 @@ from nerongraph import (
     solve_mod,
     subgroup_contained_mod,
 )
-from nerongraph.enumeration import connected_multigraphs
 
-from helpers import banana, brute_image_contains, brute_kernel, loop_graph, path_graph, span_mod
+from helpers import (
+    banana,
+    brute_image_contains,
+    brute_kernel,
+    determinant,
+    determinantal_divisors,
+    loop_graph,
+    path_graph,
+    span_mod,
+    zeros,
+)
 
 
 @st.composite
@@ -41,18 +50,18 @@ class TestIntMatrix:
         assert m.transpose().row(1) == (2, 5)
 
     def test_zero_dimensions(self):
-        m = IntMatrix.zeros(0, 3)
+        m = zeros(0, 3)
         assert (m.rows, m.cols) == (0, 3)
         assert (m.transpose().rows, m.transpose().cols) == (3, 0)
-        product = IntMatrix.zeros(2, 0) * IntMatrix.zeros(0, 2)
-        assert product == IntMatrix.zeros(2, 2)
+        product = zeros(2, 0) * zeros(0, 2)
+        assert product == zeros(2, 2)
 
     def test_multiplication(self):
         a = IntMatrix([[1, 2], [3, 4]])
         b = IntMatrix([[0, 1], [1, 0]])
         assert a * b == IntMatrix([[2, 1], [4, 3]])
         with pytest.raises(DimensionMismatch):
-            a * IntMatrix.zeros(3, 3)
+            a * zeros(3, 3)
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
@@ -65,10 +74,10 @@ class TestIntMatrix:
         assert IntMatrix([[1], [2]]) != IntMatrix([[1, 2]])
 
     def test_determinant(self):
-        assert IntMatrix.identity(4).determinant() == 1
-        assert IntMatrix([[2, 0], [0, 3]]).determinant() == 6
-        assert IntMatrix([[1, 2], [2, 4]]).determinant() == 0
-        assert IntMatrix([], cols=0).determinant() == 1
+        assert determinant(IntMatrix.identity(4)) == 1
+        assert determinant(IntMatrix([[2, 0], [0, 3]])) == 6
+        assert determinant(IntMatrix([[1, 2], [2, 4]])) == 0
+        assert determinant(IntMatrix([], cols=0)) == 1
 
     @given(int_matrices(max_dim=4, bound=9))
     def test_determinant_matches_cofactor_expansion(self, m):
@@ -84,12 +93,12 @@ class TestIntMatrix:
                 total += (-1) ** j * pivot * cofactor(minor)
             return total
 
-        assert m.determinant() == cofactor([list(r) for r in (m.row(i) for i in range(m.rows))])
+        assert determinant(m) == cofactor([list(r) for r in (m.row(i) for i in range(m.rows))])
 
 
 class TestGraphMatrices:
     def test_loop_boundary_is_zero(self):
-        assert boundary_matrix(loop_graph()) == IntMatrix.zeros(1, 1)
+        assert boundary_matrix(loop_graph()) == zeros(1, 1)
 
     def test_single_edge_column(self):
         g = path_graph(1)
@@ -116,8 +125,8 @@ class TestGraphMatrices:
     def test_intersection_single_edge(self):
         assert intersection_matrix(path_graph(1)) == IntMatrix([[-1, 1], [1, -1]])
 
-    def test_intersection_structure_exhaustively(self):
-        for g in connected_multigraphs(5):
+    def test_intersection_structure_exhaustively(self, small_family):
+        for g in [h for h in small_family if h.n_edges <= 5]:
             b = boundary_matrix(g)
             m = intersection_matrix(g)
             assert m == -(b * b.transpose())
@@ -126,8 +135,8 @@ class TestGraphMatrices:
                 assert sum(m.row(i)) == 0
                 assert sum(m.column(i)) == 0
 
-    def test_boundary_rank_and_nullity(self):
-        for g in connected_multigraphs(5):
+    def test_boundary_rank_and_nullity(self, small_family):
+        for g in [h for h in small_family if h.n_edges <= 5]:
             diag = smith_normal_form(boundary_matrix(g)).diagonal
             nonzero = [d for d in diag if d != 0]
             assert nonzero == [1] * (g.n_vertices - 1)
@@ -140,8 +149,8 @@ class TestSmithNormalForm:
         assert snf.d == IntMatrix.identity(3)
 
     def test_zero(self):
-        snf = smith_normal_form(IntMatrix.zeros(2, 3))
-        assert snf.d == IntMatrix.zeros(2, 3)
+        snf = smith_normal_form(zeros(2, 3))
+        assert snf.d == zeros(2, 3)
 
     def test_square_cycle_intersection(self):
         from helpers import cycle_graph
@@ -159,8 +168,8 @@ class TestSmithNormalForm:
     def assert_valid(m):
         snf = smith_normal_form(m)
         assert snf.u * m * snf.v == snf.d
-        assert abs(snf.u.determinant()) == 1
-        assert abs(snf.v.determinant()) == 1
+        assert abs(determinant(snf.u)) == 1
+        assert abs(determinant(snf.v)) == 1
         diag = snf.diagonal
         assert all(d >= 0 for d in diag)
         for a, b in zip(diag, diag[1:]):
@@ -175,10 +184,79 @@ class TestSmithNormalForm:
     def test_properties_random(self, m):
         self.assert_valid(m)
 
-    def test_properties_graph_matrices(self):
-        for g in connected_multigraphs(4):
+    def test_properties_graph_matrices(self, small_family):
+        for g in [h for h in small_family if h.n_edges <= 4]:
             self.assert_valid(boundary_matrix(g))
             self.assert_valid(intersection_matrix(g))
+
+
+@st.composite
+def small_matrices(draw):
+    """0-4 rows and columns of entries in -9..9, some scaled by a common
+    factor and some made singular by a last row that repeats a multiple
+    of the first."""
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.integers(0, 4))
+    entries = [[draw(st.integers(-9, 9)) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        k = draw(st.integers(-2, 2))
+        entries[-1] = [k * x for x in entries[0]]
+    scale = draw(st.sampled_from((1, 1, 2, 6, 35)))
+    return IntMatrix([[scale * x for x in row] for row in entries], cols=cols)
+
+
+def invariant_factors(m):
+    """The Smith diagonal from the determinantal divisors d_k (the gcd of
+    the k x k minors): d_1, d_2 / d_1, d_3 / d_2, ..., and 0 from the
+    first d_k that is 0 on."""
+    out, prev = [], 1
+    for d_k in determinantal_divisors(m):
+        out.append(d_k // prev if d_k else 0)
+        prev = d_k or 1
+    return tuple(out)
+
+
+class TestSmithDiagonalOracle:
+    """The diagonal, computed without transforms, against the
+    determinantal divisors, in both orders of reading it and the
+    transforms."""
+
+    @given(small_matrices(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_diagonal_matches_determinantal_divisors(self, m, diagonal_first):
+        # A fresh decomposition, so the memo cannot decide the order.
+        snf = smith_normal_form.__wrapped__(m)
+        if diagonal_first:
+            diag = snf.diagonal
+            u, d, v = snf.u, snf.d, snf.v
+        else:
+            u = snf.u
+            diag = snf.diagonal
+            d, v = snf.d, snf.v
+        assert diag == invariant_factors(m)
+        assert smith_normal_form(m).diagonal == diag
+        assert (d.rows, d.cols) == (m.rows, m.cols)
+        assert d == IntMatrix(
+            [[diag[i] if i == j else 0 for j in range(m.cols)] for i in range(m.rows)],
+            cols=m.cols,
+        )
+        assert u * m * v == d
+        assert abs(determinant(u)) == 1
+        assert abs(determinant(v)) == 1
+
+    def test_transforms_computed_once(self, monkeypatch):
+        import nerongraph.homology as homology
+
+        calls = []
+        eliminate = homology._eliminate
+        monkeypatch.setattr(
+            homology, "_eliminate",
+            lambda a, transforms: calls.append(transforms) or eliminate(a, transforms),
+        )
+        snf = smith_normal_form.__wrapped__(IntMatrix([[2, 4], [6, 9]]))
+        assert snf.diagonal == (1, 6) and calls == [False]
+        assert snf.u is snf.u and snf.d is snf.d and snf.v is snf.v
+        assert calls == [False, True]
 
 
 class TestSolveMod:
@@ -266,8 +344,8 @@ class TestSubgroupContainedMod:
             assert not subgroup_contained_mod(gens, coboundary_matrix(g), r)
 
     def test_empty_generators_vacuous(self):
-        assert subgroup_contained_mod([], IntMatrix.zeros(2, 2), 5)
+        assert subgroup_contained_mod([], zeros(2, 2), 5)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            subgroup_contained_mod([(1, 2, 3)], IntMatrix.zeros(2, 2), 5)
+            subgroup_contained_mod([(1, 2, 3)], zeros(2, 2), 5)

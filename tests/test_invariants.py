@@ -1,11 +1,15 @@
+import contextlib
 import random
+import sys
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import nerongraph
 from nerongraph import (
+    IntMatrix,
     InvalidReductionData,
     betti1,
     is_nonseparating,
@@ -25,6 +29,7 @@ from nerongraph import (
     is_full_r_torsion,
     is_r_divided,
     paper_fixtures,
+    smith_normal_form,
     thickness_invariant_t,
     thickness_subdivision,
     torsion_count_special,
@@ -34,7 +39,6 @@ from nerongraph import (
 )
 from nerongraph.enumeration import (
     brute_force_c,
-    connected_multigraphs,
     random_connected_multigraph,
 )
 from nerongraph.graph import maximal_chains
@@ -65,8 +69,8 @@ class TestCircuitInvariant:
     def test_two_triangles_bridge(self):
         assert circuit_invariant_c(two_triangles_bridge()) == 3
 
-    def test_gram_agrees_with_brute_force_exhaustively(self):
-        for g in connected_multigraphs(6):
+    def test_gram_agrees_with_brute_force_exhaustively(self, small_family):
+        for g in small_family:
             assert circuit_invariant_c(g) == brute_force_c(g)
 
     def test_uneven_banana_refers_to_regular_model(self):
@@ -253,8 +257,8 @@ class TestDivisibilityChain:
             d = ReductionData(graph=g, r=r)
             assert divisibility_chain(d.m1, index_m2(d), index_m3(d), r)
 
-    def test_m2_divides_m3_for_unit_thickness(self):
-        for g in connected_multigraphs(5):
+    def test_m2_divides_m3_for_unit_thickness(self, small_family):
+        for g in [h for h in small_family if h.n_edges <= 5]:
             for r in (1, 2, 3, 4, 6):
                 d = ReductionData(graph=g, r=r)
                 assert index_m3(d) % index_m2(d) == 0
@@ -281,8 +285,8 @@ class TestLorenzini:
         assert not is_r_divided(g, 2)
         assert group_neron_finite(ReductionData(graph=g, r=2))
 
-    def test_sufficiency_exhaustively(self):
-        for g in connected_multigraphs(5):
+    def test_sufficiency_exhaustively(self, small_family):
+        for g in [h for h in small_family if h.n_edges <= 5]:
             for r in (2, 3, 4):
                 if is_r_divided(g, r):
                     assert group_neron_finite(ReductionData(graph=g, r=r))
@@ -361,9 +365,11 @@ class TestAnalyze:
 
 
 @st.composite
-def thick_reduction_data(draw):
+def thick_reduction_data(draw, divided=None):
     """A random tree plus extra edges (loops and parallels allowed), with
-    thicknesses, stabilizers, r in 2..6 and a multidegree."""
+    thicknesses, stabilizers, r in 2..6 and a multidegree; ``divided``
+    forces whether the thicknesses are lengthened to an r-divided
+    regular model, and by default it is drawn."""
     n = draw(st.integers(1, 6))
     pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     pairs += draw(st.lists(
@@ -371,7 +377,7 @@ def thick_reduction_data(draw):
     edges = [(i, u, v) for i, (u, v) in enumerate(pairs)]
     r = draw(st.integers(2, 6))
     thickness = [draw(st.integers(1, 6)) for _ in pairs]
-    if draw(st.booleans()):
+    if draw(st.booleans()) if divided is None else divided:
         # Lengthen one edge per maximal chain so that the regular model is
         # r-divided: it then meets the group criterion, and the torsor
         # verdict turns on the multidegree.
@@ -429,10 +435,81 @@ class TestPairingAgainstSubdivision:
             assert report.torsor_neron_finite == torsor_neron_finite(d)
             assert report.twisted_roots_finite == twisted_roots_finite(d)
 
-    def test_support_is_the_nonseparating_edges(self):
-        for g in connected_multigraphs(5):
+    def test_support_is_the_nonseparating_edges(self, small_family):
+        for g in [h for h in small_family if h.n_edges <= 5]:
             support = {g.edges[ei].id for ei in CyclePairing(g).support}
             assert support == {e.id for e in g.edges if is_nonseparating(g, e.id)}
+
+
+@contextlib.contextmanager
+def no_transforms_or_solve():
+    """Make computing Smith transforms and calling ``solve_mod`` raise,
+    with the memo emptied, so that only the Smith diagonal is available."""
+    import nerongraph.homology as homology
+
+    eliminate, solve_mod = homology._eliminate, homology.solve_mod
+
+    def diagonal_only(a, transforms):
+        if transforms:
+            raise AssertionError("computed Smith transforms")
+        return eliminate(a, transforms)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("called solve_mod")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "_eliminate", diagonal_only)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("nerongraph") and (
+                getattr(module, "solve_mod", None) is solve_mod
+            ):
+                patch.setattr(module, "solve_mod", no_solve)
+        smith_normal_form.cache_clear()
+        try:
+            yield
+        finally:
+            smith_normal_form.cache_clear()
+
+
+class TestAnalyzeReadsOnlyTheDiagonal:
+    """``analyze`` computes no Smith transforms and calls no
+    ``solve_mod``: Phi comes from the diagonal, and the torsor verdict
+    from the tree-flow pairing once r | c."""
+
+    def test_guard_catches_both(self):
+        with no_transforms_or_solve():
+            with pytest.raises(AssertionError, match="transforms"):
+                smith_normal_form(IntMatrix([[2]])).u
+            with pytest.raises(AssertionError, match="solve_mod"):
+                nerongraph.solve_mod(IntMatrix([[2]]), (0,), 2)
+
+    def test_fixture_reports_match_goldens(self, tmp_path):
+        from test_golden import CASES, GOLDEN, machine_report
+
+        fixtures = [(n, text) for n, text in CASES if "-thickness-" in n]
+        assert len(fixtures) == 12
+        with no_transforms_or_solve():
+            for golden, text in fixtures:
+                assert machine_report(tmp_path, text) == (GOLDEN / golden).read_text()
+
+    def test_random_thick_graphs_with_r_dividing_c(self):
+        outcomes = set()
+
+        @settings(max_examples=120, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(thick_reduction_data(divided=True))
+        def check(d):
+            expected = regular_model_report(d)
+            assert expected["group_neron_finite"]
+            with no_transforms_or_solve():
+                report = analyze(d)
+                assert {key: getattr(report, key) for key in expected} == expected
+                assert torsor_neron_finite(d) == expected["torsor_neron_finite"]
+            if betti1(d.graph) > 0:
+                outcomes.add(expected["torsor_neron_finite"])
+
+        check()
+        assert outcomes == {True, False}
 
 
 class TestThicknessCost:
