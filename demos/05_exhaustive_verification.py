@@ -8,7 +8,7 @@ Three statements about a connected graph and a modulus q are equivalent:
   (3) Phi[q] is isomorphic to (Z/q)^b1.
 
 This script checks the equivalence on every connected multigraph with at
-most 5 edges (up to isomorphism, loops and parallel edges included) and
+most 6 edges (up to isomorphism, loops and parallel edges included) and
 every q up to 6, and also confirms that the fast Gram-basis computation
 of the circuit invariant agrees with brute-force circuit enumeration.
 The command line equivalent is `nerongraph verify-lemma`.
@@ -19,7 +19,7 @@ import time
 from nerongraph import verify_equivalence
 
 start = time.time()
-report = verify_equivalence(max_edges=5, max_q=6)
+report = verify_equivalence(max_edges=6, max_q=6)
 elapsed = time.time() - start
 
 for edges in sorted(report.graphs_by_edges):

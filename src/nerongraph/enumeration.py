@@ -1,12 +1,12 @@
 """Exhaustive enumeration of small connected multigraphs and the
 equivalence verifier.
 
-Graphs are enumerated up to isomorphism by canonical labelling: vertices
-are first partitioned by (degree, loop count) and the edge multiset is
-minimised over the label permutations respecting the partition.  Trees
-(the n = m + 1 stratum) are generated from Pruefer sequences and
-deduplicated with a rooted canonical encoding instead, which keeps the
-default exhaustive run fast.
+Graphs are enumerated up to isomorphism by edge augmentation: the graphs
+with m edges are those with m - 1 edges plus one edge (a loop, an edge
+between two existing vertices, or a pendant edge to a new vertex), and
+each is kept once, in its canonical labelling.  The canonical labelling
+partitions the vertices by (degree, loop count) and minimises the edge
+multiset over the label permutations respecting the partition.
 
 The verifier runs, over every enumerated graph and every modulus q up to
 a bound, the three faces of the finiteness criterion -- q divides the
@@ -20,7 +20,6 @@ counterexample.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -90,120 +89,35 @@ def _canonical_pairs(n: int, pairs: Sequence[Pair]) -> tuple[Pair, ...]:
     return best
 
 
-def _connected(n: int, pairs: Sequence[Pair]) -> bool:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = n
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            components -= 1
-    return components == 1
-
-
-def _pruefer_tree(sequence: Sequence[int], n: int) -> list[Pair]:
-    degree = [1] * n
-    for x in sequence:
-        degree[x] += 1
-    edges: list[Pair] = []
-    leaves = sorted(i for i in range(n) if degree[i] == 1)
-    heapq.heapify(leaves)
-    for x in sequence:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, x), max(leaf, x)))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
-    return edges
-
-
-def _tree_signature(n: int, pairs: Sequence[Pair]) -> tuple:
-    """Canonical rooted encoding of a tree (rooted at its centroid set)."""
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-
-    def centroids() -> list[int]:
-        size = [1] * n
-        order: list[int] = []
-        parent = [-1] * n
-        stack = [0]
-        seen = [False] * n
-        while stack:
-            u = stack.pop()
-            seen[u] = True
-            order.append(u)
-            for w in adjacency[u]:
-                if not seen[w]:
-                    parent[w] = u
-                    stack.append(w)
-        for u in reversed(order):
-            if parent[u] >= 0:
-                size[parent[u]] += size[u]
-        best, nodes = None, []
-        for u in range(n):
-            heaviest = max(
-                [size[w] for w in adjacency[u] if w != parent[u]]
-                + ([n - size[u]] if parent[u] >= 0 else []),
-                default=0,
-            )
-            if best is None or heaviest < best:
-                best, nodes = heaviest, [u]
-            elif heaviest == best:
-                nodes.append(u)
-        return nodes
-
-    def encode(u: int, banned: int) -> tuple:
-        return tuple(sorted(encode(w, u) for w in adjacency[u] if w != banned))
-
-    return min(encode(c, -1) for c in centroids())
-
-
 def connected_multigraphs(max_edges: int) -> Iterator[MultiGraph]:
     """All connected multigraphs with at most ``max_edges`` edges, up to
     isomorphism; loops and parallel edges included.
 
-    Vertices are labelled 0..n-1 and edges 0..m-1 in a canonical order,
-    so the stream is deterministic.
+    Each stratum is grown from the one before: every connected multigraph
+    with m >= 1 edges is one with m - 1 edges plus one edge, since deleting
+    an edge on a cycle, or the edge of a leaf, leaves it connected.  So
+    adding to each graph of the previous stratum each loop, each edge
+    between two of its vertices and each pendant edge to a new vertex, and
+    keeping one canonical form per isomorphism class, gives every graph of
+    the stratum exactly once.
+
+    Vertices are labelled 0..n-1 and edges 0..m-1 in the canonical order
+    of :func:`_canonical_pairs`; the graphs are yielded by edge count, and
+    within an edge count sorted by (vertex count, edge pairs), so the
+    stream is deterministic.
     """
-    yield _from_pairs(1, [])
-    for m in range(1, max_edges + 1):
-        for n in range(1, m + 2):
-            if n == m + 1:
-                if n == 1:
-                    continue
-                seen_trees: set[tuple] = set()
-                for sequence in itertools.product(range(n), repeat=n - 2):
-                    pairs = _pruefer_tree(sequence, n)
-                    signature = _tree_signature(n, pairs)
-                    if signature not in seen_trees:
-                        seen_trees.add(signature)
-                        yield _from_pairs(n, _canonical_pairs(n, pairs))
-                continue
-            slots = [(i, j) for i in range(n) for j in range(i, n)]
-            seen: set[tuple[Pair, ...]] = set()
-            for combo in itertools.combinations_with_replacement(slots, m):
-                touched = set()
-                for u, v in combo:
-                    touched.add(u)
-                    touched.add(v)
-                if len(touched) != n or not _connected(n, combo):
-                    continue
-                key = _canonical_pairs(n, combo)
-                if key not in seen:
-                    seen.add(key)
-                    yield _from_pairs(n, key)
+    layer: set[tuple[int, tuple[Pair, ...]]] = {(1, ())}
+    yield _from_pairs(1, ())
+    for _ in range(max_edges):
+        grown: set[tuple[int, tuple[Pair, ...]]] = set()
+        for n, pairs in layer:
+            for u in range(n):
+                for v in range(u, n + 1):  # v == n: a pendant edge to a new vertex
+                    size = n + (v == n)
+                    grown.add((size, _canonical_pairs(size, pairs + ((u, v),))))
+        layer = grown
+        for n, pairs in sorted(layer):
+            yield _from_pairs(n, pairs)
 
 
 def random_connected_multigraph(

@@ -339,8 +339,15 @@ def intersection_matrix(g: MultiGraph) -> IntMatrix:
     and multidegrees of line bundles trivial on the generic fibre form
     its image lattice.
     """
-    b = boundary_matrix(g)
-    return -(b * b.transpose())
+    m = [[0] * g.n_vertices for _ in range(g.n_vertices)]
+    for e in g.edges:
+        if not e.is_loop:
+            u, v = g.vertex_index(e.tail), g.vertex_index(e.tip)
+            m[u][u] -= 1
+            m[v][v] -= 1
+            m[u][v] += 1
+            m[v][u] += 1
+    return IntMatrix._trusted(tuple(map(tuple, m)), g.n_vertices)
 
 
 # -- systems modulo q -------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,35 @@ from nerongraph.enumeration import (
     random_connected_multigraph,
     verify_equivalence,
 )
+
+
+def _labelled(g):
+    """(edge count, vertex count, edge pairs in edge order) of a graph
+    on the vertices 0..n-1."""
+    return (g.n_edges, g.n_vertices, tuple(
+        (min(e.tail, e.tip), max(e.tail, e.tip)) for e in g.edges
+    ))
+
+
+def _as_networkx(nx, g):
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(g.n_vertices))
+    h.add_edges_from((g.vertex_index(e.tail), g.vertex_index(e.tip)) for e in g.edges)
+    return h
+
+
+def _bucket_key(h):
+    return (h.number_of_nodes(), h.number_of_edges(), tuple(sorted(d for _, d in h.degree())))
+
+
+def _isomorphism_buckets(nx, graphs):
+    """networkx copies of the graphs, bucketed by (vertex count, edge
+    count, degree sequence), which isomorphic graphs share."""
+    buckets = {}
+    for g in graphs:
+        h = _as_networkx(nx, g)
+        buckets.setdefault(_bucket_key(h), []).append(h)
+    return buckets
 
 
 def test_first_counts_match_hand_enumeration():
@@ -44,6 +74,34 @@ def test_all_graphs_valid_and_distinct(small_family):
         )))
         assert key not in seen
         seen.add(key)
+
+
+def test_no_two_graphs_are_isomorphic(small_family):
+    nx = pytest.importorskip("networkx")
+    pairs = 0
+    for bucket in _isomorphism_buckets(nx, small_family).values():
+        for a, b in itertools.combinations(bucket, 2):
+            pairs += 1
+            assert not nx.is_isomorphic(a, b)
+    assert pairs == 1378
+
+
+def test_random_graphs_are_isomorphic_to_exactly_one_member(small_family):
+    nx = pytest.importorskip("networkx")
+    buckets = _isomorphism_buckets(nx, small_family)
+    rng = random.Random(11)
+    for _ in range(300):
+        h = _as_networkx(nx, random_connected_multigraph(rng, max_edges=6))
+        matches = [f for f in buckets.get(_bucket_key(h), []) if nx.is_isomorphic(f, h)]
+        assert len(matches) == 1
+
+
+def test_smaller_bounds_are_prefixes_sorted_within_each_edge_count(small_family):
+    family = [_labelled(g) for g in small_family]
+    assert family == sorted(family)
+    for k in range(6):
+        prefix = [_labelled(g) for g in connected_multigraphs(k)]
+        assert prefix == [x for x in family if x[0] <= k]
 
 
 def test_relabelled_graphs_have_same_canonical_form():
@@ -86,6 +144,15 @@ def test_verify_small_bounds():
     assert report.total_graphs == 18
     assert report.checks == 18 * 3
     assert report.graphs_by_edges == {0: 1, 1: 2, 2: 4, 3: 11}
+
+
+def test_verify_seven_edges():
+    # OEIS A007719 gives 1211 connected multigraphs with 7 edges.
+    report = verify_equivalence(max_edges=7, max_q=6)
+    assert report.ok
+    assert report.graphs_by_edges[7] == 1211
+    assert report.total_graphs == 1682
+    assert report.checks == 10092
 
 
 def test_verify_bounds_guarded():
