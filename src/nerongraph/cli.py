@@ -30,6 +30,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from typing import Any
 
 from . import __version__
@@ -354,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("table", "machine"), default="table",
         help="human-readable table or machine-readable JSON",
     )
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_table = sub.add_parser(
         "table", help="print c, t, m1, m2, m3 for the six built-in graphs"
@@ -362,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--r", type=int, default=4, help="torsion order, a positive multiple of 4"
     )
-    p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser(
         "verify-lemma",
@@ -370,16 +369,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--max-edges", type=int, default=6)
     p_verify.add_argument("--max-q", type=int, default=6)
-    p_verify.set_defaults(func=cmd_verify_lemma)
 
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built on the first call and
+    shared by every later one; ``parse_args`` fills a fresh namespace
+    each time, so no call sees another's arguments."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up on every call, not kept in the shared parser, so that a
+    # command replaced on this module (by a test or a tracer) is the one
+    # that runs.
+    command = {"analyze": cmd_analyze, "table": cmd_table,
+               "verify-lemma": cmd_verify_lemma}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except NeronGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

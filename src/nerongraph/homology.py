@@ -1,9 +1,12 @@
 """Exact integer linear algebra for graph chain complexes.
 
 Boundary and coboundary matrices of an oriented graph, the intersection
-matrix M = -(boundary o coboundary), Smith normal form over the integers
-with unimodular transforms, and solvability/kernels of linear systems
-modulo an arbitrary (possibly composite) positive integer q.
+matrix M = -(boundary o coboundary), the grounded Kirchhoff matrix that
+presents the component group of the thickness subdivision without
+building it, Smith normal form over the integers with unimodular
+transforms, and solvability/kernels of linear systems modulo an
+arbitrary (possibly composite) positive integer q.  The graph matrices
+are filled straight from the edge endpoints.
 
 One elimination computes the Smith form.  :func:`smith_normal_form` runs
 it at once without tracking the transforms, which is all that the
@@ -307,6 +310,12 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 # -- graph matrices --------------------------------------------------------
 
 
+def _endpoints(g: MultiGraph) -> list[tuple[int, int]]:
+    """(tail index, tip index) of every edge, in edge order."""
+    vindex = g.vertex_index
+    return [(vindex(e.tail), vindex(e.tip)) for e in g.edges]
+
+
 def boundary_matrix(g: MultiGraph) -> IntMatrix:
     """The boundary map from 1-chains to 0-chains.
 
@@ -315,11 +324,11 @@ def boundary_matrix(g: MultiGraph) -> IntMatrix:
     for a loop.
     """
     rows = [[0] * g.n_edges for _ in range(g.n_vertices)]
-    for j, e in enumerate(g.edges):
-        if not e.is_loop:
-            rows[g.vertex_index(e.tip)][j] = 1
-            rows[g.vertex_index(e.tail)][j] = -1
-    return IntMatrix(rows, cols=g.n_edges)
+    for j, (tail, tip) in enumerate(_endpoints(g)):
+        if tail != tip:
+            rows[tip][j] = 1
+            rows[tail][j] = -1
+    return IntMatrix._trusted(tuple(map(tuple, rows)), g.n_edges)
 
 
 def coboundary_matrix(g: MultiGraph) -> IntMatrix:
@@ -327,7 +336,14 @@ def coboundary_matrix(g: MultiGraph) -> IntMatrix:
     the sum of edges ending at it minus the sum of edges starting at it.
     With the canonical identification of chains and cochains this is the
     transpose of the boundary matrix."""
-    return boundary_matrix(g).transpose()
+    rows = []
+    for tail, tip in _endpoints(g):
+        row = [0] * g.n_vertices
+        if tail != tip:
+            row[tip] = 1
+            row[tail] = -1
+        rows.append(tuple(row))
+    return IntMatrix._trusted(tuple(rows), g.n_vertices)
 
 
 def intersection_matrix(g: MultiGraph) -> IntMatrix:
@@ -340,14 +356,56 @@ def intersection_matrix(g: MultiGraph) -> IntMatrix:
     its image lattice.
     """
     m = [[0] * g.n_vertices for _ in range(g.n_vertices)]
-    for e in g.edges:
-        if not e.is_loop:
-            u, v = g.vertex_index(e.tail), g.vertex_index(e.tip)
+    for u, v in _endpoints(g):
+        if u != v:
             m[u][u] -= 1
             m[v][v] -= 1
             m[u][v] += 1
             m[v][u] += 1
     return IntMatrix._trusted(tuple(map(tuple, m)), g.n_vertices)
+
+
+def kirchhoff_matrix(g: MultiGraph) -> IntMatrix:
+    """The grounded Kirchhoff matrix, a presentation of the component
+    group of the thickness subdivision, with the sign of
+    :func:`intersection_matrix`.
+
+    Rows and columns are the vertices after vertex 0 (which is
+    grounded), then one generator for each edge of thickness eta > 1,
+    in edge order.  A unit non-loop edge adds its entries of the
+    intersection matrix outside row and column 0.  A thick edge's
+    generator has diagonal +eta, and +1 at its tail and -1 at its tip in
+    its row and its column (skipped at vertex 0); a thick loop gives an
+    isolated +eta, and a unit loop adds nothing.
+
+    It is the Ohm and Kirchhoff block presentation of the component
+    group, one generator per edge with diagonal thickness next to the
+    grounded vertices, with the generator of every unit edge eliminated
+    on its pivot 1.  Over the rationals, eliminating the thick
+    generators as well leaves minus the Laplacian with conductance
+    1/eta on each edge, the sign of M; with -eta the conductances of the
+    thick edges would come out negative.  Its dimension
+    ``n_vertices - 1 + #thick edges`` does not grow with the
+    thicknesses.
+    """
+    thickness = g.edge_thickness
+    thick = [j for j, e in enumerate(g.edges) if thickness[e.id] > 1]
+    n = g.n_vertices - 1 + len(thick)
+    m = [[0] * (n + 1) for _ in range(n + 1)]  # row and column 0: vertex 0
+    generator = dict(zip(thick, range(g.n_vertices, n + 1)))
+    for j, (u, v) in enumerate(_endpoints(g)):
+        x = generator.get(j)
+        if x is not None:
+            m[x][x] = thickness[g.edges[j].id]
+            if u != v:
+                m[x][u] = m[u][x] = 1
+                m[x][v] = m[v][x] = -1
+        elif u != v:
+            m[u][u] -= 1
+            m[v][v] -= 1
+            m[u][v] += 1
+            m[v][u] += 1
+    return IntMatrix._trusted(tuple(tuple(row[1:]) for row in m[1:]), n)
 
 
 # -- systems modulo q -------------------------------------------------------

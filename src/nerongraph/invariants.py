@@ -26,7 +26,15 @@ thickness-weighted pairing
 on a fundamental cycle basis gamma_1, ..., gamma_b1 (Grothendieck's
 monodromy pairing, SGA 7 IX; see :class:`CyclePairing`).
 
-* Phi is the cokernel of G, read off its Smith diagonal.
+* Phi is the cokernel of G.  It is also the cokernel of the grounded
+  Kirchhoff matrix of the regular model with every unit edge's
+  generator eliminated (:func:`~nerongraph.homology.kirchhoff_matrix`:
+  the vertices but one, plus one generator per edge of thickness > 1),
+  which is sparse.  :meth:`CyclePairing.presentation` picks the smaller
+  of the two, the Kirchhoff matrix when its dimension is below b1, and
+  Phi is read off the Smith diagonal of that one.  :func:`analyze`
+  refuses a graph whose presentation would be larger than
+  :data:`MAX_PRESENTATION_DIMENSION`, before any of it is built.
 * c is the gcd of the entries of G (:meth:`CyclePairing.c`, which
   :func:`circuit_invariant_c` returns).
 * The edges in the support of the basis are exactly the nonseparating
@@ -61,6 +69,7 @@ from typing import Mapping, Sequence
 
 from .component_group import AbelianGroup
 from .errors import (
+    BoundsTooLarge,
     InvalidReductionData,
     MissingMultidegree,
     SemistabilityRequired,
@@ -76,7 +85,15 @@ from .graph import (
     spanning_tree,
     total_genus,
 )
-from .homology import IntMatrix, smith_normal_form
+from .homology import IntMatrix, kirchhoff_matrix, smith_normal_form
+
+#: Largest dimension of the presentation of Phi that :func:`analyze`
+#: Smith-reduces.  Random unit-thickness graphs with E = 2V, whose
+#: presentation is the (V - 1)-dimensional Kirchhoff matrix, took 5-9 s
+#: at dimension 400 and 9-16 s at 420 on a 2-core x86-64 host; the time
+#: grows much faster than the cube of the dimension.  Thick edges make
+#: the entries, and the time, grow further.
+MAX_PRESENTATION_DIMENSION = 400
 
 
 @dataclass(frozen=True)
@@ -148,6 +165,24 @@ def _gcd_all(values) -> int:
     return reduce(gcd, values, 0)
 
 
+def _kirchhoff_dimension(g: MultiGraph) -> int:
+    """The dimension of :func:`kirchhoff_matrix` of g."""
+    return g.n_vertices - 1 + sum(t > 1 for t in g.edge_thickness.values())
+
+
+def _check_presentation_size(g: MultiGraph) -> None:
+    """Raise :class:`BoundsTooLarge` when the presentation of Phi that
+    :meth:`CyclePairing.presentation` would choose has a dimension past
+    :data:`MAX_PRESENTATION_DIMENSION`; it reads only the counts."""
+    dimension = min(_kirchhoff_dimension(g), betti1(g))
+    if dimension > MAX_PRESENTATION_DIMENSION:
+        raise BoundsTooLarge(
+            f"vertices, edges: {g.n_vertices} vertices and {g.n_edges} edges "
+            f"give a presentation of the component group of dimension "
+            f"{dimension}, past the limit of {MAX_PRESENTATION_DIMENSION}"
+        )
+
+
 class CyclePairing:
     """The thickness-weighted pairing on a fundamental cycle basis.
 
@@ -185,6 +220,14 @@ class CyclePairing:
         self.gram = IntMatrix._trusted(tuple(map(tuple, gram)), b)
         self.support = frozenset(through)
         self.parent = parent
+
+    def presentation(self) -> IntMatrix:
+        """The smaller of two square matrices whose cokernel is Phi: the
+        grounded Kirchhoff matrix (:func:`kirchhoff_matrix`) when its
+        dimension is below b1, and G otherwise (ties go to G)."""
+        if _kirchhoff_dimension(self.graph) < self.gram.rows:
+            return kirchhoff_matrix(self.graph)
+        return self.gram
 
     def c(self) -> int:
         """gcd of the entries of G; 0 when the graph has no cycles."""
@@ -383,14 +426,17 @@ def analyze(d: ReductionData) -> AnalysisReport:
     :func:`index_m3` for any m1).  Phi, c and the r-divided test refer to
     the minimal regular model, i.e. the thickness subdivision of the
     graph; all of them come from one :class:`CyclePairing` of the given
-    graph and one Smith reduction of its Gram matrix.
+    graph and one Smith reduction of its smaller presentation of Phi.
+    Raises :class:`BoundsTooLarge` when that presentation would have a
+    dimension past :data:`MAX_PRESENTATION_DIMENSION`.
     """
     if d.m1 != 1:
         raise SemistabilityRequired("analysis reports are defined for m1 = 1")
     g, r = d.graph, d.r
+    _check_presentation_size(g)
     p = CyclePairing(g)
     phi = AbelianGroup(
-        tuple(n for n in smith_normal_form(p.gram).diagonal if n > 1)
+        tuple(n for n in smith_normal_form(p.presentation()).diagonal if n > 1)
     )
     c, t = p.c(), p.t()
     group_finite = c % r == 0

@@ -4,6 +4,7 @@ import pytest
 
 from nerongraph import __version__
 from nerongraph.cli import main, parse_input_document
+from nerongraph.invariants import MAX_PRESENTATION_DIMENSION
 
 BANANA_DOC = {
     "name": "banana",
@@ -207,6 +208,49 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
         err = capsys.readouterr().err
         assert "duplicate key" in err and len(err.encode()) < 300
+
+    def test_presentation_past_the_limit(self, tmp_path, capsys):
+        n = MAX_PRESENTATION_DIMENSION + 2
+        vertices = [{"id": f"v{i}"} for i in range(n)]
+        edges = [{"id": f"t{i}", "tail": f"v{i - 1}", "tip": f"v{i}"} for i in range(1, n)]
+        edges += [{"id": f"x{i}", "tail": f"v{i % n}", "tip": f"v{(i + 7) % n}"}
+                  for i in range(n + 1)]
+        doc = {"r": 2, "vertices": vertices, "edges": edges}
+        assert main(["analyze", write(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: vertices, edges: ")
+        assert f"{n} vertices and {2 * n} edges" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_parser_reuse_keeps_no_state(self, tmp_path, capsys, monkeypatch):
+        import nerongraph.cli as cli
+
+        path = write(tmp_path, {k: v for k, v in BANANA_DOC.items() if k != "multidegree"})
+        plain = ["analyze", path, "--format", "machine"]
+
+        def outputs():
+            out = []
+            for argv in (plain + ["--r", "8"], plain):
+                assert main(argv) == 0
+                out.append(capsys.readouterr().out)
+            return out
+
+        reused = outputs()
+        assert cli._parser() is cli._parser()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parser", cli.build_parser)
+            fresh = outputs()
+        assert reused == fresh and fresh[0] != fresh[1]
+
+    def test_commands_are_looked_up_on_every_call(self, tmp_path, monkeypatch):
+        import nerongraph.cli as cli
+
+        cli._parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.r) or 0)
+        assert main(["analyze", write(tmp_path, BANANA_DOC), "--r", "4"]) == 0
+        assert seen == [4]
 
 
 class TestParseInputDocument:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from nerongraph import (
     DimensionMismatch,
     IntMatrix,
+    MultiGraph,
     SmithDecomposition,
     betti1,
     boundary_matrix,
@@ -16,7 +17,11 @@ from nerongraph import (
     smith_normal_form,
     solve_mod,
     subgroup_contained_mod,
+    thickness_subdivision,
 )
+from nerongraph.enumeration import random_connected_multigraph
+from nerongraph.homology import kirchhoff_matrix
+from nerongraph.invariants import CyclePairing
 
 from helpers import (
     banana,
@@ -112,6 +117,22 @@ class TestGraphMatrices:
         for g in (banana(), path_graph(2), loop_graph()):
             assert coboundary_matrix(g) == boundary_matrix(g).transpose()
 
+    def test_coboundary_is_transpose_exhaustively(self, small_family):
+        for g in small_family:
+            b = boundary_matrix(g)
+            assert coboundary_matrix(g) == b.transpose()
+            for j, e in enumerate(g.edges):
+                expected = [0] * g.n_vertices
+                if not e.is_loop:
+                    expected[g.vertex_index(e.tip)] = 1
+                    expected[g.vertex_index(e.tail)] = -1
+                assert b.column(j) == tuple(expected)
+
+    def test_edgeless_shapes(self):
+        g = path_graph(0)
+        assert (boundary_matrix(g).rows, boundary_matrix(g).cols) == (1, 0)
+        assert (coboundary_matrix(g).rows, coboundary_matrix(g).cols) == (0, 1)
+
     def test_coboundary_shape_path_two(self):
         assert (coboundary_matrix(path_graph(2)).rows,
                 coboundary_matrix(path_graph(2)).cols) == (2, 3)
@@ -141,6 +162,62 @@ class TestGraphMatrices:
             nonzero = [d for d in diag if d != 0]
             assert nonzero == [1] * (g.n_vertices - 1)
             assert g.n_edges - len(nonzero) == betti1(g)
+
+
+def _phi_factors(a: IntMatrix) -> tuple[int, ...]:
+    return tuple(d for d in smith_normal_form(a).diagonal if d > 1)
+
+
+class TestKirchhoffMatrix:
+    def test_banana_with_one_thick_edge(self):
+        # Vertex v0 is grounded; e1's generator has +2 on the diagonal
+        # and -1 at its tip v1.  The subdivision is a 3-cycle: Z/3.
+        g = banana(edge_thickness={"e1": 2})
+        assert kirchhoff_matrix(g) == IntMatrix([[-1, -1], [-1, 2]])
+        assert _phi_factors(kirchhoff_matrix(g)) == (3,)
+
+    def test_unit_graph_is_the_grounded_intersection_matrix(self, small_family):
+        for g in [h for h in small_family if h.n_edges <= 5]:
+            m = intersection_matrix(g)
+            grounded = IntMatrix(
+                [m.row(i)[1:] for i in range(1, m.rows)], cols=m.cols - 1
+            )
+            assert kirchhoff_matrix(g) == grounded
+
+    def test_loops(self):
+        assert kirchhoff_matrix(loop_graph()) == IntMatrix([], cols=0)
+        assert kirchhoff_matrix(loop_graph(edge_thickness={"e0": 5})) == IntMatrix([[5]])
+        assert kirchhoff_matrix(path_graph(0)) == IntMatrix([], cols=0)
+
+    def test_thick_edge_at_the_grounded_vertex(self):
+        # A thick edge from v0 couples only to its other endpoint.
+        g = MultiGraph(["v0", "v1", "v2"], [("e0", "v0", "v1"), ("e1", "v1", "v2")],
+                       edge_thickness={"e0": 4})
+        assert kirchhoff_matrix(g) == IntMatrix(
+            [[-1, 1, -1], [1, -1, 0], [-1, 0, 4]]
+        )
+
+    def test_same_group_as_gram_and_subdivision(self):
+        # Oracles: the Gram matrix of the cycle pairing and the
+        # intersection matrix of the thickness subdivision.
+        rng = random.Random(10)
+        kirchhoff_chosen, with_loops = set(), set()
+        for _ in range(1000):
+            g = random_connected_multigraph(
+                rng, max_edges=14, thickness_range=(1, 6)
+            )
+            k = kirchhoff_matrix(g)
+            gram = CyclePairing(g).gram
+            assert k.rows == k.cols == g.n_vertices - 1 + sum(
+                g.thickness(e.id) > 1 for e in g.edges
+            )
+            expected = _phi_factors(intersection_matrix(thickness_subdivision(g)))
+            assert _phi_factors(k) == expected
+            assert _phi_factors(gram) == expected
+            kirchhoff_chosen.add(k.rows < gram.rows)
+            with_loops.add(any(e.is_loop for e in g.edges))
+        smith_normal_form.cache_clear()
+        assert kirchhoff_chosen == with_loops == {True, False}
 
 
 class TestSmithNormalForm:

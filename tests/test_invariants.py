@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import nerongraph
 from nerongraph import (
+    BoundsTooLarge,
     IntMatrix,
     InvalidReductionData,
     betti1,
@@ -42,7 +43,8 @@ from nerongraph.enumeration import (
     random_connected_multigraph,
 )
 from nerongraph.graph import maximal_chains
-from nerongraph.invariants import CyclePairing
+from nerongraph.homology import kirchhoff_matrix
+from nerongraph.invariants import MAX_PRESENTATION_DIMENSION, CyclePairing
 
 from helpers import (
     banana,
@@ -510,6 +512,77 @@ class TestAnalyzeReadsOnlyTheDiagonal:
 
         check()
         assert outcomes == {True, False}
+
+
+class TestPresentationChoice:
+    """``analyze`` Smith-reduces the smaller of the grounded Kirchhoff
+    matrix and the Gram matrix, ties going to the Gram."""
+
+    @staticmethod
+    def reduced(monkeypatch, g):
+        import nerongraph.invariants as invariants
+
+        seen = []
+
+        def record(a):
+            seen.append(a)
+            return smith_normal_form(a)
+
+        monkeypatch.setattr(invariants, "smith_normal_form", record)
+        analyze(ReductionData(graph=g, r=4))
+        (a,) = seen
+        return a
+
+    def test_dense_unit_graph_gets_kirchhoff(self, monkeypatch):
+        rng = random.Random(3)
+        n = 12
+        pairs = [(rng.randrange(v), v) for v in range(1, n)]
+        pairs += [tuple(sorted(rng.sample(range(n), 2))) for _ in range(n + 1)]
+        g = MultiGraph(range(n), [(i, u, v) for i, (u, v) in enumerate(pairs)])
+        assert g.n_edges == 2 * n
+        a = self.reduced(monkeypatch, g)
+        assert (a.rows, a.cols) == (n - 1, n - 1)
+        assert a == kirchhoff_matrix(g)
+
+    def test_long_cycle_gets_gram(self, monkeypatch):
+        assert self.reduced(monkeypatch, cycle_graph(3000)) == IntMatrix([[3000]])
+
+    def test_tie_goes_to_gram(self, monkeypatch):
+        # b1 = 2 against V - 1 = 2: the Gram.
+        g = MultiGraph(["a", "b", "c"], [("x", "a", "b"), ("y", "b", "c"),
+                                         ("z", "c", "a"), ("w", "a", "b")])
+        assert self.reduced(monkeypatch, g) == CyclePairing(g).gram
+
+
+def _path_with_loops(n: int) -> MultiGraph:
+    """A path on n + 1 vertices with one loop at each vertex after the
+    first: b1 = n against a Kirchhoff dimension of n, so its
+    presentation is the n x n identity Gram matrix, cheap to reduce."""
+    vs = list(range(n + 1))
+    edges = [(f"p{v}", v - 1, v) for v in vs[1:]] + [(f"l{v}", v, v) for v in vs[1:]]
+    return MultiGraph(vs, edges)
+
+
+class TestPresentationBound:
+    def test_limit_is_exact(self):
+        limit = MAX_PRESENTATION_DIMENSION
+        report = analyze(ReductionData(graph=_path_with_loops(limit), r=2))
+        assert report.b1 == limit and report.phi.order == 1
+        with pytest.raises(BoundsTooLarge, match="vertices, edges"):
+            analyze(ReductionData(graph=_path_with_loops(limit + 1), r=2))
+
+    def test_checked_before_any_smith_work(self, monkeypatch):
+        import nerongraph.invariants as invariants
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built or reduced a presentation")
+
+        monkeypatch.setattr(invariants, "smith_normal_form", refuse)
+        monkeypatch.setattr(invariants, "CyclePairing", refuse)
+        g = _path_with_loops(MAX_PRESENTATION_DIMENSION + 1)
+        with pytest.raises(BoundsTooLarge) as caught:
+            analyze(ReductionData(graph=g, r=2))
+        assert f"{g.n_vertices} vertices and {g.n_edges} edges" in str(caught.value)
 
 
 class TestThicknessCost:
