@@ -9,11 +9,11 @@ control the finiteness of Neron models.
 """
 
 from nerongraph import (
-    CyclePairing,
     MultiGraph,
     betti1,
     circuit_invariant_c,
     enumerate_circuits,
+    fundamental_cycle_basis,
     is_nonseparating,
     is_r_divided,
     signed_common_edges,
@@ -21,6 +21,7 @@ from nerongraph import (
     thickness_subdivision,
     total_genus,
 )
+from nerongraph.homology import cycle_pairing_matrix
 
 # Two components meeting in two nodes: the "banana".  Both edges run
 # from v0 to v1; orientations are bookkeeping, nothing depends on them.
@@ -60,12 +61,14 @@ print("\ntheta-fan:", theta_fan)
 print("  b1 =", betti1(theta_fan))
 for x in enumerate_circuits(theta_fan):
     print("   ", x)
-# The analysis needs no circuit list: it pairs the cycles of a
-# fundamental basis, one per edge outside a spanning tree, each a signed
-# edge vector {edge index: +1 or -1}.  c is the gcd of the Gram entries.
-pairing = CyclePairing(theta_fan)
-print("  cycle basis:", list(pairing.cycles), "(b1 of them)")
-print("  Gram matrix of the basis:", pairing.gram)
+# No circuit list is needed: a fundamental basis has one cycle per edge
+# outside a spanning tree, each a signed edge vector {edge index: +1 or
+# -1}, and c is the gcd of the entries of its (thickness-weighted) Gram
+# matrix.  That matrix presents the component group Phi with b1
+# generators, so the analysis reads c off Phi instead of building it.
+cycles = fundamental_cycle_basis(theta_fan)
+print("  cycle basis:", cycles, "(b1 of them)")
+print("  Gram matrix of the basis:", cycle_pairing_matrix(theta_fan, cycles))
 print("  c(theta-fan) =", circuit_invariant_c(theta_fan))
 
 # Thickness: each node of the reduction carries the exponent of its

@@ -9,8 +9,8 @@ Three statements about a connected graph and a modulus q are equivalent:
 
 This script checks the equivalence on every connected multigraph with at
 most 6 edges (up to isomorphism, loops and parallel edges included) and
-every q up to 6, and also confirms that the fast Gram-basis computation
-of the circuit invariant agrees with brute-force circuit enumeration.
+every q up to 6, and also confirms that the circuit invariant read off
+the component group agrees with brute-force circuit enumeration.
 The command line equivalent is `nerongraph verify-lemma`.
 """
 

@@ -197,8 +197,9 @@ def verify_equivalence(max_edges: int = 6, max_q: int = 6) -> EquivalenceReport:
       coboundary map mod q,
     * Phi[q] is isomorphic to (Z/q)^b1
 
-    agree three ways, and that the Gram-basis computation of c agrees
-    with brute-force circuit enumeration.  Returns a report carrying any
+    agree three ways, and that c read from Phi
+    (:func:`~nerongraph.invariants.circuit_invariant_c`) agrees with
+    brute-force circuit enumeration.  Returns a report carrying any
     counterexamples; an empty list means the equivalence held everywhere.
     """
     if not 1 <= max_edges <= MAX_ENUMERATION_EDGES:
@@ -210,11 +211,11 @@ def verify_equivalence(max_edges: int = 6, max_q: int = 6) -> EquivalenceReport:
     report = EquivalenceReport(max_edges=max_edges, max_q=max_q)
     for g in connected_multigraphs(max_edges):
         report.graphs_by_edges[g.n_edges] = report.graphs_by_edges.get(g.n_edges, 0) + 1
-        c_basis = circuit_invariant_c(g)
+        c_phi = circuit_invariant_c(g)
         c_brute = brute_force_c(g)
-        if c_basis != c_brute:
+        if c_phi != c_brute:
             report.counterexamples.append(
-                f"{g!r} {g.edges}: basis c = {c_basis}, brute-force c = {c_brute}"
+                f"{g!r} {g.edges}: c from Phi = {c_phi}, brute-force c = {c_brute}"
             )
         for q in range(1, max_q + 1):
             by_circuits = c_brute % q == 0

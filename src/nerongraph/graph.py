@@ -5,10 +5,10 @@ irreducible component (carrying a geometric genus), one edge per node
 (carrying a thickness and a stabilizer order).  Loops and parallel edges
 are allowed; every graph is required to be connected.
 
-The analysis reads everything from a fundamental cycle basis, given as
-sparse signed edge vectors ``{edge index: +1 or -1}`` closed up through
-one breadth-first spanning tree, and from the maximal chains, whose
-total thicknesses decide whether the minimal regular model is r-divided.
+The analysis reads everything from one breadth-first spanning tree,
+the bridges and the maximal chains, whose total thicknesses decide
+whether the minimal regular model is r-divided; it builds the
+fundamental cycle basis only when it reduces the basis's pairing.
 
 A *circuit* is a closed walk along oriented edges whose interior vertices
 are pairwise distinct; a loop alone is a circuit of length 1 and a pair of
@@ -401,6 +401,38 @@ def is_nonseparating(g: MultiGraph, e: EdgeId) -> bool:
         return True
     reachable = g._reachable_from(g.vertex_index(edge.tail), skip_edge=i)
     return g.vertex_index(edge.tip) in reachable
+
+
+def bridges(g: MultiGraph) -> frozenset[int]:
+    """Indices of the separating edges (see :func:`is_nonseparating`),
+    from one depth-first search with lowlinks (Tarjan, 1974) on an
+    explicit stack.  The search skips the edge it arrived by, by edge
+    index, so that a parallel edge back to the parent closes a cycle;
+    loops are never bridges."""
+    adjacency = g._adjacency
+    order = [-1] * g.n_vertices  # discovery time
+    low = [0] * g.n_vertices
+    found = set()
+    order[0], clock = 0, itertools.count(1)
+    stack = [(0, -1, iter(adjacency[0]))]  # (vertex, arrival edge, neighbours)
+    while stack:
+        u, arrived, neighbours = stack[-1]
+        for ei, w in neighbours:
+            if ei == arrived:
+                continue
+            if order[w] < 0:
+                order[w] = low[w] = next(clock)
+                stack.append((w, ei, iter(adjacency[w])))
+                break
+            low[u] = min(low[u], order[w])
+        else:
+            stack.pop()
+            if stack:
+                up = stack[-1][0]
+                low[up] = min(low[up], low[u])
+                if low[u] > order[up]:
+                    found.add(arrived)
+    return frozenset(found)
 
 
 def signed_common_edges(a: Circuit, b: Circuit) -> int:

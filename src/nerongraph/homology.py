@@ -1,11 +1,12 @@
 """Exact integer linear algebra for graph chain complexes.
 
 Boundary and coboundary matrices of an oriented graph, the intersection
-matrix M = -(boundary o coboundary), the grounded Kirchhoff matrix that
-presents the component group of the thickness subdivision without
-building it, Smith normal form over the integers with unimodular
-transforms, and solvability/kernels of linear systems modulo an
-arbitrary (possibly composite) positive integer q.  The graph matrices
+matrix M = -(boundary o coboundary), the grounded Kirchhoff matrix and
+the thickness-weighted cycle pairing, which both present the component
+group of the thickness subdivision without building it, Smith normal
+form over the integers with unimodular transforms, and
+solvability/kernels of linear systems modulo an arbitrary (possibly
+composite) positive integer q.  The graph matrices
 are filled straight from the edge endpoints.
 
 One elimination computes the Smith form.  :func:`smith_normal_form` runs
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
 from .graph import MultiGraph
@@ -406,6 +407,29 @@ def kirchhoff_matrix(g: MultiGraph) -> IntMatrix:
             m[u][v] += 1
             m[v][u] += 1
     return IntMatrix._trusted(tuple(tuple(row[1:]) for row in m[1:]), n)
+
+
+def cycle_pairing_matrix(
+    g: MultiGraph, cycles: Sequence[Mapping[int, int]]
+) -> IntMatrix:
+    """The thickness-weighted Gram matrix
+    ``G_ij = sum_e thickness(e) * cycles[i][e] * cycles[j][e]`` of sparse
+    signed edge vectors ``{edge index: +1 or -1}``.  On a
+    :func:`~nerongraph.graph.fundamental_cycle_basis` it presents the
+    component group of the thickness subdivision with b1 generators."""
+    through: dict[int, list[tuple[int, int]]] = {}
+    for i, cycle in enumerate(cycles):
+        for ei, sign in cycle.items():
+            through.setdefault(ei, []).append((i, sign))
+    gram = [[0] * len(cycles) for _ in cycles]
+    thickness = g.edge_thickness
+    for ei, members in through.items():
+        eta = thickness[g.edges[ei].id]
+        for i, si in members:
+            row = gram[i]
+            for j, sj in members:
+                row[j] += eta * si * sj
+    return IntMatrix._trusted(tuple(map(tuple, gram)), len(cycles))
 
 
 # -- systems modulo q -------------------------------------------------------

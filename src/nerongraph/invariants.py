@@ -14,50 +14,44 @@ are computed, together with the finiteness verdicts for the r-torsion
 group scheme and for the torsor of r-th roots of a line bundle.
 
 The component group Phi, the circuit invariant c and the verdicts live
-on the dual graph of the *minimal regular model*, which is the thickness
+on the dual graph of the *minimal regular model*, the thickness
 subdivision of the given graph (a node of thickness eta resolves into a
-chain of eta - 1 rational curves).  The subdivision has the same cycle
-lattice as the given graph, with the pairing weighted by thickness, so
-everything here is read off one object built on the given graph: the
-thickness-weighted pairing
+chain of eta - 1 rational curves).  It has the cycle lattice of the
+given graph with the pairing weighted by thickness,
 
     G_ij = sum over edges e of thickness(e) * gamma_i(e) * gamma_j(e)
 
 on a fundamental cycle basis gamma_1, ..., gamma_b1 (Grothendieck's
-monodromy pairing, SGA 7 IX; see :class:`CyclePairing`).
+monodromy pairing, SGA 7 IX), so everything is read off the given graph:
+one breadth-first spanning tree, one scan for its bridges and one Smith
+reduction.  The cost follows the size of the graph, not its thicknesses.
 
-* Phi is the cokernel of G.  It is also the cokernel of the grounded
-  Kirchhoff matrix of the regular model with every unit edge's
-  generator eliminated (:func:`~nerongraph.homology.kirchhoff_matrix`:
-  the vertices but one, plus one generator per edge of thickness > 1),
-  which is sparse.  :meth:`CyclePairing.presentation` picks the smaller
-  of the two, the Kirchhoff matrix when its dimension is below b1, and
-  Phi is read off the Smith diagonal of that one.  :func:`analyze`
-  refuses a graph whose presentation would be larger than
-  :data:`MAX_PRESENTATION_DIMENSION`, before any of it is built.
-* c is the gcd of the entries of G (:meth:`CyclePairing.c`, which
-  :func:`circuit_invariant_c` returns).
-* The edges in the support of the basis are exactly the nonseparating
-  ones; t is the gcd of their thicknesses.
+* Phi is the cokernel of G, and also of the sparse grounded Kirchhoff
+  matrix of the regular model (:func:`~nerongraph.homology.kirchhoff_matrix`).
+  The smaller of the two is Smith-reduced and Phi read off its
+  diagonal; G and the cycle basis are built only when G is the smaller.
+* c is the gcd of the entries of G, its first Smith factor, so it is
+  read off Phi, which G presents with b1 generators: the least
+  invariant factor of Phi when Phi has b1 of them, 1 when it has fewer,
+  and 0 when b1 = 0.
+* The nonseparating edges are the non-bridges
+  (:func:`~nerongraph.graph.bridges`); t is the gcd of their
+  thicknesses.
 * A multidegree lies in the image of the regular model's intersection
-  matrix modulo r exactly when the pairing w of the basis with a tree
-  flow bounding it lies in the image of G modulo r.  The torsor verdict
-  asks this only once r | c, when G is 0 modulo r, so it tests w = 0
-  modulo r and needs no Smith transforms.
+  matrix modulo r exactly when the pairing w of the cycle basis with a
+  tree flow bounding it lies in the image of G modulo r.  The torsor
+  verdict asks this only once r | c, when G is 0 modulo r, so it tests
+  w = 0 modulo r, and the entry of w at the cycle of a non-tree edge is
+  a difference of tree potentials across that edge: no cycle, no G and
+  no Smith transforms.
 * The regular model is r-divided exactly when every maximal chain of the
   given graph has total thickness divisible by r
   (:func:`~nerongraph.graph.is_r_divided`).
 
-The cost thus follows the size of the graph, not its thicknesses.  The
-subdivision itself stays available as
-:func:`~nerongraph.graph.thickness_subdivision` and serves the tests as
-an independent oracle for all of the above, with c checked against the
-brute-force circuit gcd of :func:`~nerongraph.enumeration.brute_force_c`.
-The thickness invariant t reads the given (stable) graph.  Keeping the
-two models straight is what makes the divisibility chain
-m1 | m2 | m3 | r*m1 hold for arbitrary thicknesses: every edge shared
-by two circuits is nonseparating, so t divides every entry of G and
-hence c.
+The tests check all of this against the subdivision and the brute-force
+circuit gcd.  t reads the given (stable) graph; every edge shared by two
+circuits is nonseparating, so t divides every entry of G and hence c,
+which makes m1 | m2 | m3 | r*m1 hold for arbitrary thicknesses.
 """
 
 from __future__ import annotations
@@ -80,12 +74,13 @@ from .graph import (
     MultiGraph,
     VertexId,
     betti1,
+    bridges,
     fundamental_cycle_basis,
     is_r_divided,
     spanning_tree,
     total_genus,
 )
-from .homology import IntMatrix, kirchhoff_matrix, smith_normal_form
+from .homology import cycle_pairing_matrix, kirchhoff_matrix, smith_normal_form
 
 #: Largest dimension of the presentation of Phi that :func:`analyze`
 #: Smith-reduces.  Random unit-thickness graphs with E = 2V, whose
@@ -161,153 +156,98 @@ class AnalysisReport:
     torsion_count_generic: int
 
 
-def _gcd_all(values) -> int:
-    return reduce(gcd, values, 0)
-
-
-def _kirchhoff_dimension(g: MultiGraph) -> int:
-    """The dimension of :func:`kirchhoff_matrix` of g."""
-    return g.n_vertices - 1 + sum(t > 1 for t in g.edge_thickness.values())
-
-
-def _check_presentation_size(g: MultiGraph) -> None:
-    """Raise :class:`BoundsTooLarge` when the presentation of Phi that
-    :meth:`CyclePairing.presentation` would choose has a dimension past
-    :data:`MAX_PRESENTATION_DIMENSION`; it reads only the counts."""
-    dimension = min(_kirchhoff_dimension(g), betti1(g))
+def _phi_and_c(
+    g: MultiGraph, parent: Mapping[int, tuple[int, int]] | None = None,
+) -> tuple[AbelianGroup, int]:
+    """Phi and c from one Smith reduction: of the Kirchhoff matrix when
+    its dimension ``n_vertices - 1 + #thick edges`` is below b1, and
+    otherwise of G on the cycle basis that ``parent``, the table of
+    :func:`spanning_tree`, closes up.  Raises :class:`BoundsTooLarge`
+    from the counts alone, before anything is built, when the smaller
+    dimension is past :data:`MAX_PRESENTATION_DIMENSION`."""
+    b1 = betti1(g)
+    kirchhoff = g.n_vertices - 1 + sum(t > 1 for t in g.edge_thickness.values())
+    dimension = min(kirchhoff, b1)
     if dimension > MAX_PRESENTATION_DIMENSION:
         raise BoundsTooLarge(
             f"vertices, edges: {g.n_vertices} vertices and {g.n_edges} edges "
             f"give a presentation of the component group of dimension "
             f"{dimension}, past the limit of {MAX_PRESENTATION_DIMENSION}"
         )
+    if kirchhoff < b1:
+        a = kirchhoff_matrix(g)
+    else:
+        a = cycle_pairing_matrix(g, fundamental_cycle_basis(g, parent))
+    phi = AbelianGroup(tuple(n for n in smith_normal_form(a).diagonal if n > 1))
+    factors = phi.invariant_factors  # c: see the module docstring
+    return phi, factors[0] if b1 and len(factors) == b1 else min(b1, 1)
 
 
-class CyclePairing:
-    """The thickness-weighted pairing on a fundamental cycle basis.
-
-    ``cycles[i]`` is the i-th cycle of :func:`fundamental_cycle_basis`,
-    mapping its edge indices to their coefficients +1 or -1, and
-    ``gram`` is the b1 x b1 matrix of
-    ``G_ij = sum_e thickness(e) * cycles[i][e] * cycles[j][e]``.  It is
-    the unweighted pairing of the corresponding cycles of the thickness
-    subdivision, so it presents the component group of the minimal
-    regular model.  ``support`` holds the edges on some basis cycle,
-    which are exactly the nonseparating edges, and ``parent`` is the
-    table of :func:`spanning_tree` that the basis closes up.
-    """
-
-    __slots__ = ("graph", "cycles", "gram", "support", "parent")
-
-    def __init__(self, g: MultiGraph) -> None:
-        parent = spanning_tree(g)
-        cycles = tuple(fundamental_cycle_basis(g, parent))
-        through: dict[int, list[tuple[int, int]]] = {}
-        for i, cycle in enumerate(cycles):
-            for ei, sign in cycle.items():
-                through.setdefault(ei, []).append((i, sign))
-        b = len(cycles)
-        gram = [[0] * b for _ in range(b)]
-        thickness = g.edge_thickness
-        for ei, members in through.items():
-            eta = thickness[g.edges[ei].id]
-            for i, si in members:
-                row = gram[i]
-                for j, sj in members:
-                    row[j] += eta * si * sj
-        self.graph = g
-        self.cycles = cycles
-        self.gram = IntMatrix._trusted(tuple(map(tuple, gram)), b)
-        self.support = frozenset(through)
-        self.parent = parent
-
-    def presentation(self) -> IntMatrix:
-        """The smaller of two square matrices whose cokernel is Phi: the
-        grounded Kirchhoff matrix (:func:`kirchhoff_matrix`) when its
-        dimension is below b1, and G otherwise (ties go to G)."""
-        if _kirchhoff_dimension(self.graph) < self.gram.rows:
-            return kirchhoff_matrix(self.graph)
-        return self.gram
-
-    def c(self) -> int:
-        """gcd of the entries of G; 0 when the graph has no cycles."""
-        return _gcd_all(x for i in range(self.gram.rows) for x in self.gram.row(i))
-
-    def t(self) -> int:
-        """gcd of the thicknesses of the nonseparating edges; 0 when
-        there are none."""
-        edges, thickness = self.graph.edges, self.graph.edge_thickness
-        return _gcd_all(thickness[edges[ei].id] for ei in self.support)
-
-    def degree_below(self, degrees: Sequence[int]) -> dict[int, int]:
-        """For each tree edge index, the total of ``degrees`` (listed in
-        vertex order) over the vertices on the far side of the edge from
-        the root."""
-        below = list(degrees)
-        out = {}
-        for child in reversed(self.parent):  # children before parents
-            up, ei = self.parent[child]
-            out[ei] = below[child]
-            below[up] += below[child]
-        return out
-
-    def tree_flow_pairing(self, degrees: Sequence[int]) -> tuple[int, ...]:
-        """The pairing w of the basis with a tree flow that bounds the
-        multidegree, padded with zeros on the exceptional components.
-
-        Moving the total degree onto the root gives D' with the same
-        residues modulo r (the total is a multiple of r) and total 0.
-        The tree flow f with boundary D' carries, on each tree edge, the
-        degree below it, and w_i = sum_e thickness(e) * f(e) * gamma_i(e).
-        The map D' -> w induces the isomorphism between the Laplacian
-        and the pairing presentations of Phi, so D' lies in the image of
-        the regular model's intersection matrix modulo r exactly when w
-        lies in the image of G modulo r.
-        """
-        g = self.graph
-        thickness = g.edge_thickness
-        below = self.degree_below(degrees)
-        flow = {}  # thickness(e) * f(e) on the tree edges
-        for child, (_, ei) in self.parent.items():
-            edge = g.edges[ei]
-            sign = 1 if g.vertex_index(edge.tip) == child else -1
-            flow[ei] = sign * below[ei] * thickness[edge.id]
-        return tuple(
-            sum(flow[ei] * sign for ei, sign in cycle.items() if ei in flow)
-            for cycle in self.cycles
-        )
+def _degree_below(
+    parent: Mapping[int, tuple[int, int]], degrees: Sequence[int],
+) -> dict[int, int]:
+    """For each tree edge index of ``parent``, the total of ``degrees``
+    (listed in vertex order) over the vertices on the far side of the
+    edge from the root."""
+    below = list(degrees)
+    out = {}
+    for child in reversed(parent):  # children before parents
+        up, ei = parent[child]
+        out[ei] = below[child]
+        below[up] += below[child]
+    return out
 
 
-def _torsor_finite(p: CyclePairing, c: int, degrees: Sequence[int], r: int) -> bool:
-    """The torsor verdict from the circuit invariant c of ``p``.
+def _torsor_finite(
+    g: MultiGraph, parent: Mapping[int, tuple[int, int]], below: Mapping[int, int],
+    c: int, r: int,
+) -> bool:
+    """The torsor verdict from c and the degrees ``below`` the tree
+    edges of ``parent``: r | c, and w = 0 modulo r, where w at the cycle
+    of a non-tree edge is the potential at its tail minus that at its
+    tip.  A vertex's potential sums thickness(e) * below(e) down the
+    tree from the root, with no sign: a tree edge's orientation enters
+    both the flow and the cycle, and the two cancel."""
+    if c % r:
+        return False
+    edges, thickness = g.edges, g.edge_thickness
+    potential = [0] * g.n_vertices
+    for child, (up, ei) in parent.items():  # parents come first
+        potential[child] = potential[up] + thickness[edges[ei].id] * below[ei]
+    vindex = g.vertex_index
+    return all(
+        (potential[vindex(e.tail)] - potential[vindex(e.tip)]) % r == 0
+        for ei, e in enumerate(edges) if ei not in below  # the non-tree edges
+    )
 
-    It needs the group criterion r | c, and c is the gcd of the entries
-    of G, so then G is 0 modulo r and its image modulo r is 0: the
-    multidegree lies in the image of the intersection matrix modulo r
-    exactly when every entry of the tree-flow pairing is 0 modulo r.
-    """
-    return c % r == 0 and all(x % r == 0 for x in p.tree_flow_pairing(degrees))
+
+def _t(g: MultiGraph, separating: frozenset[int]) -> int:
+    thickness = g.edge_thickness
+    return reduce(gcd, (thickness[e.id] for ei, e in enumerate(g.edges)
+                        if ei not in separating), 0)
 
 
 def circuit_invariant_c(g: MultiGraph) -> int:
     """The circuit invariant c of the minimal regular model: the gcd of
     the signed numbers of edges shared by pairs of its circuits (a
     circuit paired with itself counts its length); 0 when the graph has
-    no circuits.
+    no circuits.  With unit thicknesses it is c of the graph itself.
 
     The subdivided basis cycles are circuits of the regular model, every
     circuit is an integral combination of them, and G holds their
-    pairings, so by bilinearity c is the gcd of the entries of G
-    (:meth:`CyclePairing.c`).  With unit thicknesses it is c of the graph
-    itself.
+    pairings, so by bilinearity c is the gcd of the entries of G.  It is
+    read off Phi, so, like :func:`analyze`, this raises
+    :class:`BoundsTooLarge` when the presentation of Phi would have a
+    dimension past :data:`MAX_PRESENTATION_DIMENSION`.
     """
-    return CyclePairing(g).c()
+    return _phi_and_c(g)[1]
 
 
 def thickness_invariant_t(g: MultiGraph) -> int:
-    """gcd of the thicknesses of the nonseparating edges; 0 when every
+    """gcd of the thicknesses of the nonseparating edges, which are the
+    edges other than the :func:`~nerongraph.graph.bridges`; 0 when every
     edge is separating (compact type)."""
-    return CyclePairing(g).t()
+    return _t(g, bridges(g))
 
 
 def index_m2(d: ReductionData) -> int:
@@ -315,7 +255,7 @@ def index_m2(d: ReductionData) -> int:
     r-torsion Picard scheme becomes finite: m1 * r / gcd(r, c), where c
     is the circuit invariant of the minimal regular model and
     gcd(r, 0) = r."""
-    return d.m1 * d.r // gcd(d.r, CyclePairing(d.graph).c())
+    return d.m1 * d.r // gcd(d.r, _phi_and_c(d.graph)[1])
 
 
 def index_m3(d: ReductionData) -> int:
@@ -343,20 +283,19 @@ def group_neron_finite(d: ReductionData) -> bool:
     m2 = 1, equivalently Phi[r] of the regular model is all of (Z/r)^b1.
     """
     _require_semistable(d)
-    return CyclePairing(d.graph).c() % d.r == 0
+    return _phi_and_c(d.graph)[1] % d.r == 0
 
 
-def _twisted_roots(p: CyclePairing, degrees: Sequence[int], r: int) -> bool:
-    g = p.graph
-    below = p.degree_below(degrees)
-    for ei, e in enumerate(g.edges):
-        # A separating edge is a tree edge; the degree below it is the
-        # degree on one side, and the test does not depend on the side
-        # because the total degree is a multiple of r.
-        side = 1 if ei in p.support else below[ei]
-        if (g.stabilizer(e.id) * side) % r != 0:
-            return False
-    return True
+def _twisted_roots(
+    g: MultiGraph, separating: frozenset[int], below: Mapping[int, int], r: int,
+) -> bool:
+    # A separating edge is a tree edge; the degree below it is the degree
+    # on one side, and the test does not depend on the side because the
+    # total degree is a multiple of r.
+    return all(
+        g.stabilizer(e.id) * (below[ei] if ei in separating else 1) % r == 0
+        for ei, e in enumerate(g.edges)
+    )
 
 
 def twisted_roots_finite(d: ReductionData) -> bool:
@@ -369,7 +308,9 @@ def twisted_roots_finite(d: ReductionData) -> bool:
     """
     if d.multidegree is None:
         raise MissingMultidegree("the separating-node test needs a multidegree")
-    return _twisted_roots(CyclePairing(d.graph), d.multidegree_vector(), d.r)
+    g = d.graph
+    below = _degree_below(spanning_tree(g), d.multidegree_vector())
+    return _twisted_roots(g, bridges(g), below, d.r)
 
 
 def torsion_count_special(g: MultiGraph, r: int) -> int:
@@ -407,8 +348,11 @@ def torsor_neron_finite(d: ReductionData) -> bool:
     _require_semistable(d)
     if d.multidegree is None:
         raise MissingMultidegree("the torsor criterion needs a multidegree")
-    p = CyclePairing(d.graph)
-    return _torsor_finite(p, p.c(), d.multidegree_vector(), d.r)
+    g = d.graph
+    parent = spanning_tree(g)
+    c = _phi_and_c(g, parent)[1]
+    below = _degree_below(parent, d.multidegree_vector())
+    return _torsor_finite(g, parent, below, c, d.r)
 
 
 def divisibility_chain(m1: int, m2: int, m3: int, r: int) -> bool:
@@ -425,22 +369,21 @@ def analyze(d: ReductionData) -> AnalysisReport:
     the indices m2 and m3 remain available through :func:`index_m2` and
     :func:`index_m3` for any m1).  Phi, c and the r-divided test refer to
     the minimal regular model, i.e. the thickness subdivision of the
-    graph; all of them come from one :class:`CyclePairing` of the given
-    graph and one Smith reduction of its smaller presentation of Phi.
-    Raises :class:`BoundsTooLarge` when that presentation would have a
-    dimension past :data:`MAX_PRESENTATION_DIMENSION`.
+    graph; all of them come from one breadth-first spanning tree of the
+    given graph, one scan for its bridges and one Smith reduction of the
+    smaller presentation of Phi.  Raises :class:`BoundsTooLarge` when
+    that presentation would have a dimension past
+    :data:`MAX_PRESENTATION_DIMENSION`.
     """
     if d.m1 != 1:
         raise SemistabilityRequired("analysis reports are defined for m1 = 1")
     g, r = d.graph, d.r
-    _check_presentation_size(g)
-    p = CyclePairing(g)
-    phi = AbelianGroup(
-        tuple(n for n in smith_normal_form(p.presentation()).diagonal if n > 1)
-    )
-    c, t = p.c(), p.t()
-    group_finite = c % r == 0
-    degrees = None if d.multidegree is None else d.multidegree_vector()
+    parent = spanning_tree(g)
+    phi, c = _phi_and_c(g, parent)
+    separating = bridges(g)
+    t = _t(g, separating)
+    below = (None if d.multidegree is None
+             else _degree_below(parent, d.multidegree_vector()))
     genus = total_genus(g)
     return AnalysisReport(
         b1=betti1(g),
@@ -452,13 +395,13 @@ def analyze(d: ReductionData) -> AnalysisReport:
         m1=d.m1,
         m2=r // gcd(r, c),
         m3=r // gcd(r, t),
-        group_neron_finite=group_finite,
+        group_neron_finite=c % r == 0,
         torsor_neron_finite=(
-            None if degrees is None else _torsor_finite(p, c, degrees, r)
+            None if below is None else _torsor_finite(g, parent, below, c, r)
         ),
         r_divided=is_r_divided(g, r),
         twisted_roots_finite=(
-            None if degrees is None else _twisted_roots(p, degrees, r)
+            None if below is None else _twisted_roots(g, separating, below, r)
         ),
         torsion_count_special_fibre=torsion_count_special(g, r),
         torsion_count_generic=r ** (2 * genus),

@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the code paths they are used to
 check: circuits are enumerated by a blunt depth-first search over edge
 traversals, membership modulo q by exhaustive search over (Z/q)^cols,
-and the component group once more through the quotient-of-images
-presentation via stacked Smith reductions.  The matrix helpers that
+the component group once more through the quotient-of-images
+presentation via stacked Smith reductions, and c, the support and the
+torsor pairing w through the cycles of a fundamental basis
+(:class:`CyclePairing`), which the analysis no longer builds.  The matrix helpers that
 only the tests need (zero matrices, the Bareiss determinant
 that checks Smith transforms are unimodular) and the coboundary witness
 live here too.
@@ -13,7 +15,10 @@ live here too.
 from __future__ import annotations
 
 import itertools
+import random
+from functools import reduce
 from math import gcd
+from typing import Sequence
 
 from nerongraph import (
     Circuit,
@@ -25,6 +30,7 @@ from nerongraph import (
     ReductionData,
     boundary_matrix,
     coboundary_matrix,
+    fundamental_cycle_basis,
     intersection_matrix,
     is_full_r_torsion,
     is_nonseparating,
@@ -36,6 +42,7 @@ from nerongraph import (
     thickness_subdivision,
 )
 from nerongraph.enumeration import brute_force_c
+from nerongraph.graph import spanning_tree
 
 
 # -- matrices ---------------------------------------------------------------
@@ -138,7 +145,81 @@ def two_triangles_bridge() -> MultiGraph:
     return MultiGraph(vs, es)
 
 
+def scrambled(rng: random.Random, g: MultiGraph) -> MultiGraph:
+    """The same decorated graph with its vertex order shuffled and each
+    edge reversed with probability 1/2."""
+    vertices = list(g.vertices)
+    rng.shuffle(vertices)
+    edges = [(e.id, e.tip, e.tail) if rng.random() < 0.5 else e for e in g.edges]
+    return MultiGraph(vertices, edges, vertex_genus=g.vertex_genus,
+                      edge_thickness=g.edge_thickness,
+                      edge_stabilizer=g.edge_stabilizer)
+
+
 # -- oracles ----------------------------------------------------------------
+
+
+class CyclePairing:
+    """The thickness-weighted pairing on a fundamental cycle basis.
+
+    ``cycles[i]`` is the i-th cycle of :func:`fundamental_cycle_basis`,
+    mapping its edge indices to their coefficients +1 or -1, and
+    ``gram`` is the b1 x b1 matrix of
+    ``G_ij = sum_e thickness(e) * cycles[i][e] * cycles[j][e]``, built
+    here by its own loop.  ``support`` holds the edges on some basis
+    cycle, which are exactly the nonseparating edges, and ``parent`` is
+    the table of :func:`spanning_tree` that the basis closes up.
+    """
+
+    def __init__(self, g: MultiGraph) -> None:
+        parent = spanning_tree(g)
+        cycles = tuple(fundamental_cycle_basis(g, parent))
+        through: dict[int, list[tuple[int, int]]] = {}
+        for i, cycle in enumerate(cycles):
+            for ei, sign in cycle.items():
+                through.setdefault(ei, []).append((i, sign))
+        b = len(cycles)
+        gram = [[0] * b for _ in range(b)]
+        for ei, members in through.items():
+            eta = g.thickness(g.edges[ei].id)
+            for i, si in members:
+                for j, sj in members:
+                    gram[i][j] += eta * si * sj
+        self.graph = g
+        self.cycles = cycles
+        self.gram = IntMatrix(gram, cols=b)
+        self.support = frozenset(through)
+        self.parent = parent
+
+    def c(self) -> int:
+        """gcd of the entries of G; 0 when the graph has no cycles."""
+        return reduce(gcd, (x for i in range(self.gram.rows) for x in self.gram.row(i)), 0)
+
+    def tree_flow_pairing(self, degrees: Sequence[int]) -> tuple[int, ...]:
+        """The pairing w of the basis with a tree flow that bounds the
+        multidegree (listed in vertex order) once its total is moved onto
+        the root: the flow on a tree edge is the degree on its far side
+        from the root, signed by the edge's orientation, times its
+        thickness."""
+        g = self.graph
+        below = list(degrees)
+        flow = {}  # thickness(e) * f(e) on the tree edges
+        for child in reversed(self.parent):  # children before parents
+            up, ei = self.parent[child]
+            edge = g.edges[ei]
+            sign = 1 if g.vertex_index(edge.tip) == child else -1
+            flow[ei] = sign * below[child] * g.thickness(edge.id)
+            below[up] += below[child]
+        return tuple(
+            sum(flow[ei] * sign for ei, sign in cycle.items() if ei in flow)
+            for cycle in self.cycles
+        )
+
+    def torsor_finite(self, degrees: Sequence[int], r: int) -> bool:
+        """r | c, and every entry of w is 0 modulo r."""
+        return self.c() % r == 0 and all(x % r == 0 for x in self.tree_flow_pairing(degrees))
+
+
 
 
 def naive_circuits(g: MultiGraph) -> set[Circuit]:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from nerongraph import (
@@ -19,7 +21,19 @@ from nerongraph import (
     total_genus,
 )
 
-from helpers import banana, barbell, cycle_graph, loop_graph, naive_circuits, path_graph, theta
+from nerongraph.enumeration import random_connected_multigraph
+from nerongraph.graph import bridges
+
+from helpers import (
+    banana,
+    barbell,
+    cycle_graph,
+    loop_graph,
+    naive_circuits,
+    path_graph,
+    scrambled,
+    theta,
+)
 
 
 class TestBuildGraph:
@@ -108,6 +122,51 @@ class TestNonseparating:
     def test_unknown_edge(self):
         with pytest.raises(UnknownEdge):
             is_nonseparating(banana(), "zzz")
+
+
+def assert_bridges_are_the_separating_edges(g):
+    separating = {g.edges[ei].id for ei in bridges(g)}
+    assert separating == {e.id for e in g.edges if not is_nonseparating(g, e.id)}
+
+
+class TestBridges:
+    """``bridges`` against the per-edge search of ``is_nonseparating``,
+    on graphs whose vertex order is shuffled and whose edges are
+    reversed at random."""
+
+    def test_small_graphs(self):
+        assert bridges(loop_graph()) == frozenset()
+        assert bridges(banana()) == frozenset()
+        assert bridges(barbell()) == {1}
+        assert bridges(path_graph(3)) == {0, 1, 2}
+        assert bridges(path_graph(0)) == frozenset()
+
+    def test_exhaustively_with_reversed_edges(self, small_family):
+        rng = random.Random(20)
+        for g in small_family:
+            assert_bridges_are_the_separating_edges(g)
+            assert_bridges_are_the_separating_edges(scrambled(rng, g))
+
+    def test_random_graphs_with_reversed_edges(self):
+        # Half from the library's generator (at most 8 vertices), half
+        # with up to 40 vertices and few extra edges, so that blocks and
+        # bridges alternate along long paths.
+        rng = random.Random(21)
+        for i in range(2000):
+            if i % 2:
+                g = random_connected_multigraph(rng, max_edges=16, max_extra=rng.randint(0, 6))
+            else:
+                n = rng.randint(1, 40)
+                pairs = [(rng.randrange(v), v) for v in range(1, n)]
+                for _ in range(rng.randint(0, n // 3)):
+                    u = rng.randrange(n)
+                    pairs.append((u, min(n - 1, u + rng.randint(0, 4))))
+                g = MultiGraph(range(n), [(j, u, v) for j, (u, v) in enumerate(pairs)])
+            assert_bridges_are_the_separating_edges(scrambled(rng, g))
+
+    def test_long_path_and_cycle_without_recursion(self):
+        assert bridges(path_graph(5000)) == frozenset(range(5000))
+        assert bridges(cycle_graph(5000)) == frozenset()
 
 
 class TestCircuitType:

@@ -20,10 +20,11 @@ from nerongraph import (
     thickness_subdivision,
 )
 from nerongraph.enumeration import random_connected_multigraph
-from nerongraph.homology import kirchhoff_matrix
-from nerongraph.invariants import CyclePairing
+from nerongraph.graph import fundamental_cycle_basis
+from nerongraph.homology import cycle_pairing_matrix, kirchhoff_matrix
 
 from helpers import (
+    CyclePairing,
     banana,
     brute_image_contains,
     brute_kernel,
@@ -31,6 +32,7 @@ from helpers import (
     determinantal_divisors,
     loop_graph,
     path_graph,
+    scrambled,
     span_mod,
     zeros,
 )
@@ -218,6 +220,24 @@ class TestKirchhoffMatrix:
             with_loops.add(any(e.is_loop for e in g.edges))
         smith_normal_form.cache_clear()
         assert kirchhoff_chosen == with_loops == {True, False}
+
+
+class TestCyclePairingMatrix:
+    def test_thick_banana(self):
+        g = banana(edge_thickness={"e0": 2, "e1": 3})
+        assert cycle_pairing_matrix(g, fundamental_cycle_basis(g)) == IntMatrix([[5]])
+
+    def test_no_cycles(self):
+        g = path_graph(3)
+        assert cycle_pairing_matrix(g, fundamental_cycle_basis(g)) == IntMatrix([], cols=0)
+
+    def test_matches_the_oracle_with_reversed_edges(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            g = scrambled(rng, random_connected_multigraph(
+                rng, max_edges=14, thickness_range=(1, 6)))
+            gram = cycle_pairing_matrix(g, fundamental_cycle_basis(g))
+            assert gram == CyclePairing(g).gram
 
 
 class TestSmithNormalForm:

@@ -2,6 +2,7 @@ import contextlib
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -42,17 +43,19 @@ from nerongraph.enumeration import (
     brute_force_c,
     random_connected_multigraph,
 )
-from nerongraph.graph import maximal_chains
-from nerongraph.homology import kirchhoff_matrix
-from nerongraph.invariants import MAX_PRESENTATION_DIMENSION, CyclePairing
+from nerongraph.graph import bridges, fundamental_cycle_basis, maximal_chains
+from nerongraph.homology import cycle_pairing_matrix, kirchhoff_matrix
+from nerongraph.invariants import MAX_PRESENTATION_DIMENSION
 
 from helpers import (
+    CyclePairing,
     banana,
     barbell,
     cycle_graph,
     loop_graph,
     path_graph,
     regular_model_report,
+    scrambled,
     two_triangles_bridge,
 )
 
@@ -439,8 +442,88 @@ class TestPairingAgainstSubdivision:
 
     def test_support_is_the_nonseparating_edges(self, small_family):
         for g in [h for h in small_family if h.n_edges <= 5]:
+            nonseparating = {e.id for e in g.edges if is_nonseparating(g, e.id)}
+            separating = {g.edges[ei].id for ei in bridges(g)}
+            assert separating == {e.id for e in g.edges} - nonseparating
             support = {g.edges[ei].id for ei in CyclePairing(g).support}
-            assert support == {e.id for e in g.edges if is_nonseparating(g, e.id)}
+            assert support == nonseparating
+
+
+class TestTreeRoutesWithReversedEdges:
+    """c read from Phi and the torsor verdict from tree potentials,
+    against the cycle-basis oracle and the subdivision's Laplacian, on
+    thick graphs with loops whose vertex order is shuffled and whose
+    edges are reversed at random.  The potentials carry no orientation
+    sign, so a sign by edge direction fails here."""
+
+    def test_c_and_torsor_against_both_oracles(self):
+        rng = random.Random(12)
+        outcomes, loops = set(), 0
+        for _ in range(2000):
+            g = scrambled(rng, random_connected_multigraph(
+                rng, max_edges=8, thickness_range=(1, 4)))
+            loops += any(e.is_loop for e in g.edges)
+            oracle = CyclePairing(g)
+            c = oracle.c()
+            # Mostly an r dividing c, where the verdict turns on the
+            # potentials.
+            divisors = [q for q in range(2, c + 1) if c % q == 0]
+            r = rng.choice(divisors) if divisors and rng.random() < 0.7 else rng.randint(2, 6)
+            degrees = [rng.randint(-2 * r, 2 * r) for _ in g.vertices]
+            degrees[-1] -= sum(degrees) % r
+            d = ReductionData(graph=g, r=r, multidegree=dict(zip(g.vertices, degrees)))
+            report, expected = analyze(d), regular_model_report(d)
+            factors = report.phi.invariant_factors
+            assert report.c == c == expected["c"]
+            assert c == (0 if not report.b1 else
+                         factors[0] if len(factors) == report.b1 else 1)
+            assert report.torsor_neron_finite == oracle.torsor_finite(degrees, r)
+            assert report.torsor_neron_finite == expected["torsor_neron_finite"]
+            assert torsor_neron_finite(d) == report.torsor_neron_finite
+            if report.b1 and c % r == 0:
+                outcomes.add(report.torsor_neron_finite)
+        assert outcomes == {True, False}
+        assert loops > 500
+
+
+class TestManyParallelEdges:
+    """Few vertices and many parallel edges: the Kirchhoff matrix is
+    reduced, and no b1 x b1 pairing may be built."""
+
+    @staticmethod
+    def analyzed(g):
+        d = ReductionData(graph=g, r=2, multidegree={})
+        start = time.perf_counter()
+        report = analyze(d)
+        assert time.perf_counter() - start < 1.0
+        smith_normal_form.cache_clear()
+        tracemalloc.start()
+        try:
+            analyze(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        return report
+
+    def test_banana_of_twenty_thousand_edges(self):
+        g = MultiGraph(["a", "b"], [(i, "a", "b") for i in range(20000)])
+        report = self.analyzed(g)
+        assert report.b1 == 19999
+        assert report.phi.invariant_factors == (20000,)
+        assert (report.c, report.t) == (1, 1)
+        assert report.torsor_neron_finite is False
+
+    def test_long_cycle_with_twenty_thousand_chords(self):
+        n = 400
+        edges = [(f"c{i}", i, (i + 1) % n) for i in range(n)]
+        edges += [(f"h{k}", 100, 300) for k in range(20000)]
+        report = self.analyzed(MultiGraph(range(n), edges))
+        assert report.b1 == 20001
+        # Two chains of 200 edges and 20000 single edges between the
+        # same two vertices: 200 * 200 * 20000 + 200 + 200 spanning trees.
+        assert report.phi.invariant_factors == (200 * 200 * 20000 + 400,)
+        assert (report.c, report.t) == (1, 1)
 
 
 @contextlib.contextmanager
@@ -551,7 +634,30 @@ class TestPresentationChoice:
         # b1 = 2 against V - 1 = 2: the Gram.
         g = MultiGraph(["a", "b", "c"], [("x", "a", "b"), ("y", "b", "c"),
                                          ("z", "c", "a"), ("w", "a", "b")])
-        assert self.reduced(monkeypatch, g) == CyclePairing(g).gram
+        assert self.reduced(monkeypatch, g) == cycle_pairing_matrix(
+            g, fundamental_cycle_basis(g)
+        )
+
+    def test_dense_unit_graph_builds_no_cycle_basis(self, monkeypatch):
+        import nerongraph.invariants as invariants
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a cycle basis or its pairing")
+
+        monkeypatch.setattr(invariants, "fundamental_cycle_basis", refuse)
+        monkeypatch.setattr(invariants, "cycle_pairing_matrix", refuse)
+        g = cycle_graph(12)
+        g = MultiGraph(g.vertices, [*g.edges, *(
+            (f"x{i}", f"v{i}", f"v{(5 * i + 3) % 12}") for i in range(12))])
+        assert g.n_edges == 2 * g.n_vertices
+        degrees = {v: (-1) ** i for i, v in enumerate(g.vertices)}
+        for r, torsor in ((2, False), (1, True)):  # r = 1 reaches the potentials
+            d = ReductionData(graph=g, r=r, multidegree=degrees)
+            report = analyze(d)
+            assert report.b1 == 13 and report.c == 1
+            assert report.torsor_neron_finite is torsor
+            assert torsor_neron_finite(d) is torsor
+            assert circuit_invariant_c(g) == 1 and index_m2(d) == r
 
 
 def _path_with_loops(n: int) -> MultiGraph:
@@ -577,8 +683,9 @@ class TestPresentationBound:
         def refuse(*args, **kwargs):
             raise AssertionError("built or reduced a presentation")
 
-        monkeypatch.setattr(invariants, "smith_normal_form", refuse)
-        monkeypatch.setattr(invariants, "CyclePairing", refuse)
+        for builder in ("smith_normal_form", "kirchhoff_matrix",
+                        "cycle_pairing_matrix", "fundamental_cycle_basis"):
+            monkeypatch.setattr(invariants, builder, refuse)
         g = _path_with_loops(MAX_PRESENTATION_DIMENSION + 1)
         with pytest.raises(BoundsTooLarge) as caught:
             analyze(ReductionData(graph=g, r=2))
