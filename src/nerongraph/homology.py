@@ -9,12 +9,14 @@ solvability/kernels of linear systems modulo an arbitrary (possibly
 composite) positive integer q.  The graph matrices
 are filled straight from the edge endpoints.
 
-One elimination computes the Smith form.  :func:`smith_normal_form` runs
-it at once without tracking the transforms, which is all that the
-invariant factors (and so the component group) need, and runs it again
-with the transforms tracked on the first read of U, D or V, which only
-the solvers modulo q need.  Its memo holds whatever has been computed
-for each matrix.
+Two loops compute the Smith form.  :func:`smith_normal_form` runs the
+diagonal-only one at once: it clears each pivot's column by Euclid and
+its row modulo the pivot, skips the divisibility step and puts the
+diagonal in divisibility order at the end by pairwise gcd and lcm.  The
+invariant factors (and so the component group) need nothing more.  The
+elimination with the transforms tracked runs on the first read of U, D
+or V, which only the solvers modulo q need.  The memo holds whatever has
+been computed for each matrix.
 
 Everything is computed with Python's arbitrary-precision integers; no
 floating point is used anywhere.  Smith reduction of integer Laplacians
@@ -155,25 +157,94 @@ def _pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
     return best, next(j for j in range(t, len(row)) if abs(row[j]) == best_abs)
 
 
-def _eliminate(
-    a: IntMatrix, transforms: bool
-) -> tuple[tuple[int, ...], tuple[IntMatrix, IntMatrix, IntMatrix] | None]:
-    """The Smith diagonal of a, and with ``transforms`` also U, D and V.
+def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
+    """The Smith diagonal of a, without the transforms.
+
+    Step t takes as pivot the first ±1 of the first row that holds one,
+    or else the smallest nonzero absolute value, and moves it to (t, t).
+    Euclid clears column t: every row below is reduced by floor division
+    and the row with the smallest remainder becomes row t, until the
+    pivot is alone in the column.  Row t is then reduced modulo the
+    pivot, which changes no other row; a remainder moves the column of
+    the smallest one to column t, and the step goes on.  The entries so
+    found are not yet in divisibility order; pairwise gcd and lcm, which
+    keep the exponents of every prime as a multiset, sort them into the
+    Smith diagonal, which is unique.
+    """
+    rows, cols = a.rows, a.cols
+    d = a.row_list()
+    found = []
+    for t in range(min(rows, cols)):
+        for i in range(t, rows):
+            row = d[i]
+            if 1 in row:
+                j = row.index(1)
+                break
+            if -1 in row:
+                j = row.index(-1)
+                break
+        else:
+            p = _pivot(d, t)
+            if p is None:
+                break
+            i, j = p
+        d[t], d[i] = d[i], d[t]
+        while True:
+            if j != t:
+                for row in d[t:]:
+                    row[t], row[j] = row[j], row[t]
+            while True:
+                prow = d[t]
+                pivot = prow[t]
+                tail = prow[t:]
+                low, k = abs(pivot), None
+                for i in range(t + 1, rows):
+                    row = d[i]
+                    if row[t]:
+                        f = row[t] // pivot
+                        row[t:] = [x - f * y for x, y in zip(row[t:], tail)]
+                        if row[t] and abs(row[t]) < low:
+                            low, k = abs(row[t]), i
+                if k is None:
+                    break
+                d[t], d[k] = d[k], d[t]
+            if pivot in (1, -1):
+                break  # row t is zero modulo a unit
+            prow[t + 1:] = [x % pivot for x in prow[t + 1:]]
+            low, j = abs(pivot), None
+            for k in range(t + 1, cols):
+                if prow[k] and abs(prow[k]) < low:
+                    low, j = abs(prow[k]), k
+            if j is None:
+                break
+        found.append(abs(pivot))
+
+    rest = [x for x in found if x != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            x, y = rest[i], rest[j]
+            g = gcd(x, y)
+            if g != x:
+                rest[i], rest[j] = g, x // g * y
+    units = len(found) - len(rest)
+    return (1,) * units + tuple(rest) + (0,) * (min(rows, cols) - len(found))
+
+
+def _eliminate(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Unimodular U and V and the Smith form D of a, with U A V = D.
 
     At step t the pivot moves to (t, t), row operations clear column t
     below it and column operations row t to its right; while that leaves
     a remainder the step starts over, and once both are clear an entry
     that the pivot does not divide has its row added to row t.  Rows and
     columns before t are already zero from column and row t on, so every
-    operation runs over the trailing columns only.  Whether or not the
-    transforms are tracked, D goes through the same states.  V is kept
+    operation runs over the trailing columns only.  V is kept
     transposed, so that its column operations are row operations.
     """
     rows, cols = a.rows, a.cols
     d = a.row_list()
-    if transforms:
-        u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-        vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
     for t in range(min(rows, cols)):
         while True:
             p = _pivot(d, t)
@@ -184,9 +255,8 @@ def _eliminate(
             if j != t:
                 for row in d[t:]:
                     row[t], row[j] = row[j], row[t]
-            if transforms:
-                u[t], u[i] = u[i], u[t]
-                vt[t], vt[j] = vt[j], vt[t]
+            u[t], u[i] = u[i], u[t]
+            vt[t], vt[j] = vt[j], vt[t]
             prow = d[t]
             pivot = prow[t]
             tail = prow[t:]
@@ -196,26 +266,18 @@ def _eliminate(
                 if row[t]:
                     f = -(row[t] // pivot)
                     row[t:] = [x + f * y for x, y in zip(row[t:], tail)]
-                    if transforms:
-                        u[i] = [x + f * y for x, y in zip(u[i], u[t])]
+                    u[i] = [x + f * y for x, y in zip(u[i], u[t])]
                     if row[t]:
                         dirty = True
             column = [(row, row[t]) for row in d[t:] if row[t]]
-            if not transforms and len(column) == 1:
-                # Column t holds the pivot alone: clearing row t changes
-                # no other row.
-                prow[t + 1:] = [x % pivot for x in prow[t + 1:]]
-                dirty = any(prow[t + 1:])
-            else:
-                for j in range(t + 1, cols):
+            for j in range(t + 1, cols):
+                if prow[j]:
+                    f = -(prow[j] // pivot)
+                    for row, y in column:
+                        row[j] += f * y
+                    vt[j] = [x + f * y for x, y in zip(vt[j], vt[t])]
                     if prow[j]:
-                        f = -(prow[j] // pivot)
-                        for row, y in column:
-                            row[j] += f * y
-                        if transforms:
-                            vt[j] = [x + f * y for x, y in zip(vt[j], vt[t])]
-                        if prow[j]:
-                            dirty = True
+                        dirty = True
             if dirty:
                 continue
             if pivot in (1, -1):
@@ -228,19 +290,15 @@ def _eliminate(
             if offender is None:
                 break
             prow[t:] = [x + y for x, y in zip(prow[t:], d[offender][t:])]
-            if transforms:
-                u[t] = [x + y for x, y in zip(u[t], u[offender])]
+            u[t] = [x + y for x, y in zip(u[t], u[offender])]
         if p is None:
             break
 
-    diagonal = tuple(abs(d[t][t]) for t in range(min(rows, cols)))
-    if not transforms:
-        return diagonal, None
-    for t, x in enumerate(diagonal):
-        if d[t][t] != x:
+    for t in range(min(rows, cols)):
+        if d[t][t] < 0:
             d[t] = [-y for y in d[t]]
             u[t] = [-y for y in u[t]]
-    return diagonal, (
+    return (
         IntMatrix._trusted(tuple(map(tuple, u)), rows),
         IntMatrix._trusted(tuple(map(tuple, d)), cols),
         IntMatrix._trusted(tuple(zip(*vt)), cols),
@@ -253,8 +311,9 @@ class SmithDecomposition:
     The diagonal entries are nonnegative, each divides the next, and
     zeros trail.  Built by hand from ``(u, d, v)``, it holds them and
     reads its diagonal off d.  From :func:`smith_normal_form` it holds A
-    and the diagonal, computed at once without the transforms; U, D and
-    V are computed together on the first read of any of them and kept.
+    and the diagonal, computed at once by the diagonal-only loop; U, D
+    and V are computed together, by the elimination with transforms, on
+    the first read of any of them and kept.
     """
 
     __slots__ = ("_a", "_udv", "_diagonal")
@@ -268,13 +327,14 @@ class SmithDecomposition:
     def _of(cls, a: IntMatrix) -> "SmithDecomposition":
         snf = cls.__new__(cls)
         snf._a = a
-        snf._diagonal, snf._udv = _eliminate(a, transforms=False)
+        snf._udv = None
+        snf._diagonal = _smith_diagonal(a)
         return snf
 
     def _transforms(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if self._udv is None:
             # Threads that race here compute equal values; either may win.
-            self._udv = _eliminate(self._a, transforms=True)[1]
+            self._udv = _eliminate(self._a)
         return self._udv
 
     @property
@@ -298,13 +358,13 @@ class SmithDecomposition:
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form of a, deterministically.
 
-    Pivots are chosen as the smallest nonzero absolute value (row-major
-    on ties) and diagonal entries are sign-normalised to be nonnegative,
-    so a given matrix always yields the same decomposition.  The
-    diagonal is computed here; U, D and V on their first read, by the
-    same elimination with the transforms tracked.  The result is cached
-    on the (hashable) input matrix and holds whatever has been computed
-    of it.
+    The diagonal is computed here, by a loop that tracks no transforms;
+    it is unique.  U, D and V come on their first read from an
+    elimination whose pivots are the smallest nonzero absolute value
+    (row-major on ties) and whose diagonal entries are sign-normalised
+    to be nonnegative, so a given matrix always yields the same
+    decomposition.  The result is cached on the (hashable) input matrix
+    and holds whatever has been computed of it.
     """
     return SmithDecomposition._of(a)
 

@@ -19,6 +19,7 @@ from nerongraph import (
     subgroup_contained_mod,
     thickness_subdivision,
 )
+import nerongraph.homology as homology
 from nerongraph.enumeration import random_connected_multigraph
 from nerongraph.graph import fundamental_cycle_basis
 from nerongraph.homology import cycle_pairing_matrix, kirchhoff_matrix
@@ -342,18 +343,74 @@ class TestSmithDiagonalOracle:
         assert abs(determinant(v)) == 1
 
     def test_transforms_computed_once(self, monkeypatch):
-        import nerongraph.homology as homology
-
+        # The diagonal comes at once from its own loop; U, D and V come
+        # together on the first read of any of them, and only then.
         calls = []
-        eliminate = homology._eliminate
-        monkeypatch.setattr(
-            homology, "_eliminate",
-            lambda a, transforms: calls.append(transforms) or eliminate(a, transforms),
-        )
+        for name in ("_smith_diagonal", "_eliminate"):
+            inner = getattr(homology, name)
+            monkeypatch.setattr(
+                homology, name,
+                lambda a, name=name, inner=inner: calls.append(name) or inner(a),
+            )
         snf = smith_normal_form.__wrapped__(IntMatrix([[2, 4], [6, 9]]))
-        assert snf.diagonal == (1, 6) and calls == [False]
+        assert snf.diagonal == (1, 6) and calls == ["_smith_diagonal"]
         assert snf.u is snf.u and snf.d is snf.d and snf.v is snf.v
-        assert calls == [False, True]
+        assert calls == ["_smith_diagonal", "_eliminate"]
+
+
+def _unit_graph(rng: random.Random, n: int) -> MultiGraph:
+    """A random tree on n vertices plus n + 1 random edges (loops and
+    parallels allowed): E = 2V at unit thickness."""
+    pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(n + 1)]
+    return MultiGraph(range(n), [(i, u, v) for i, (u, v) in enumerate(pairs)])
+
+
+class TestSmithDiagonal:
+    """The diagonal-only loop, whose entries are put in divisibility
+    order at the end by pairwise gcd and lcm, against the elimination
+    with transforms and the determinantal divisors."""
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([[4, 0], [0, 6]], (2, 12)),
+        ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], (1, 30, 30)),
+        # Singular and rectangular: rank 2 of 3, zeros last.
+        ([[0, 6, 0, 0], [0, 0, 0, 4], [0, 0, 0, 0]], (2, 12, 0)),
+        ([[0, 0, 10], [0, 0, 0], [0, 4, 0], [0, 8, 0]], (2, 20, 0)),
+    ])
+    def test_fix_up_decides(self, rows, expected):
+        m = IntMatrix(rows)
+        assert homology._smith_diagonal(m) == expected
+        assert homology._smith_diagonal(-m) == expected
+        assert expected == invariant_factors(m)
+        assert homology._eliminate(m)[1].diagonal() == expected
+
+    def test_empty_and_zero(self):
+        assert homology._smith_diagonal(IntMatrix([], cols=3)) == ()
+        assert homology._smith_diagonal(IntMatrix([[], []])) == ()
+        assert homology._smith_diagonal(zeros(2, 3)) == (0, 0)
+
+    def test_graph_matrices_against_the_transforms(self, monkeypatch):
+        # Kirchhoff and Gram matrices of random thick graphs, and the
+        # Kirchhoff matrices of unit E = 2V graphs, on which the +-1
+        # pivots run out partway and the smallest-entry pivot takes over.
+        fallbacks = []
+        pivot = homology._pivot
+        monkeypatch.setattr(
+            homology, "_pivot", lambda d, t: fallbacks.append(t) or pivot(d, t))
+        rng = random.Random(20)
+        matrices = []
+        for _ in range(150):
+            g = random_connected_multigraph(rng, max_edges=14, thickness_range=(1, 32))
+            matrices.append(kirchhoff_matrix(g))
+            matrices.append(cycle_pairing_matrix(g, fundamental_cycle_basis(g)))
+        unit = [kirchhoff_matrix(_unit_graph(rng, rng.randint(16, 64))) for _ in range(8)]
+        for m in matrices + unit:
+            del fallbacks[:]
+            diagonal = homology._smith_diagonal(m)
+            assert diagonal == homology._eliminate(m)[1].diagonal()
+            if m in unit:
+                assert fallbacks and fallbacks[0] > 0
 
 
 class TestSolveMod:
