@@ -37,11 +37,14 @@ print("  nonseparating edges:",
       [e.id for e in banana.edges if is_nonseparating(banana, e.id)])
 
 # The banana has a single circuit: around through e0, back through e1.
+# A circuit is a signed edge vector {edge index: +1 or -1}, +1 where it
+# walks an edge from tail to tip; the least edge index is walked
+# forwards, so the banana's circuit prints as {0: 1, 1: -1}.
 circuits = enumerate_circuits(banana)
 print("  circuits:", circuits)
 
 # Pairing a circuit with itself counts its edges; two circuits pair to
-# the signed number of shared edges.
+# the signed number of shared edges, the dot product of their vectors.
 c0 = circuits[0]
 print("  <C, C> =", signed_common_edges(c0, c0))
 
@@ -59,11 +62,13 @@ theta_fan = MultiGraph(
 )
 print("\ntheta-fan:", theta_fan)
 print("  b1 =", betti1(theta_fan))
+# Each circuit is one of the three squares; the edges are indexed e0 = 0
+# to e5 = 5, and every pair of squares shares two edges.
 for x in enumerate_circuits(theta_fan):
     print("   ", x)
 # No circuit list is needed: a fundamental basis has one cycle per edge
-# outside a spanning tree, each a signed edge vector {edge index: +1 or
-# -1}, and c is the gcd of the entries of its (thickness-weighted) Gram
+# outside a spanning tree, a signed edge vector of the same form, and c
+# is the gcd of the entries of its (thickness-weighted) Gram
 # matrix.  That matrix presents the component group Phi with b1
 # generators, so the analysis reads c off Phi instead of building it.
 cycles = fundamental_cycle_basis(theta_fan)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from functools import lru_cache
 from typing import Any
@@ -173,18 +172,23 @@ def _too_long_to_print(n: int) -> bool:
 def _check_printable(data: ReductionData) -> None:
     """Raise :class:`BoundsTooLarge` when the generic torsion count
     r^(2 * genus), the largest count a report prints, is too long to
-    print.  This runs before the count is computed, so a huge genus
-    costs nothing."""
+    print.  This runs before the count is computed and in integers
+    only, so a huge genus costs nothing."""
     limit = sys.get_int_max_str_digits()
     genus, r = total_genus(data.graph), data.r
     if limit == 0 or r == 1:
         return
-    # r^k has floor(k * log10(r)) + 1 digits; decide exactly near the limit.
-    estimate = 2 * genus * math.log10(r)
-    if estimate > limit + 1 or (estimate > limit - 1 and _too_long_to_print(r ** (2 * genus))):
+    # With b = r.bit_length(), 2^(k * (b - 1)) <= r^k < 2^(k * b), and
+    # 2^(3 * limit) < 10^limit < 2^(4 * limit); only in between is r^k
+    # computed, and then it has fewer than 8 * limit bits.
+    k, b = 2 * genus, r.bit_length()
+    if k * (b - 1) >= 4 * limit or (k * b > 3 * limit and r ** k >= 10 ** limit):
+        shown_genus = (f"of more than {limit} digits" if _too_long_to_print(genus)
+                       else shown(str(genus)))
         raise BoundsTooLarge(
-            f"genus, r: total genus {genus} with r = {r} gives a torsion count "
-            f"r^(2 * genus) of more than {limit} digits, too long to print"
+            f"genus, r: total genus {shown_genus} with r = {shown(str(r))} gives "
+            f"a torsion count r^(2 * genus) of more than {limit} digits, too long "
+            "to print"
         )
 
 
@@ -260,6 +264,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             text = handle.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError:
+        print(f"error: {args.path}: not UTF-8 text", file=sys.stderr)
         return 2
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)

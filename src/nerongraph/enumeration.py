@@ -13,15 +13,14 @@ a bound, the three faces of the finiteness criterion -- q divides the
 circuit invariant, the kernel of the boundary map mod q lies in the
 image of the coboundary map, and the q-torsion of the component group is
 all of (Z/q)^b1 -- plus the agreement of the circuit invariant read
-from the cycle pairing with the brute-force gcd over all circuits
-(:func:`brute_force_c`).  Any disagreement is reported as a
-counterexample.
+off the component group with the brute-force gcd over all pairs of
+circuits, taken as signed edge vectors (:func:`brute_force_c`).  Any
+disagreement is reported as a counterexample.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
@@ -29,7 +28,7 @@ from typing import Iterator, Sequence
 
 from .component_group import homological_criterion, is_full_r_torsion
 from .errors import BoundsTooLarge
-from .graph import MultiGraph, enumerate_circuits
+from .graph import MultiGraph, enumerate_circuits, signed_common_edges
 from .invariants import circuit_invariant_c
 
 MAX_ENUMERATION_EDGES = 7
@@ -120,40 +119,6 @@ def connected_multigraphs(max_edges: int) -> Iterator[MultiGraph]:
             yield _from_pairs(n, pairs)
 
 
-def random_connected_multigraph(
-    rng: random.Random,
-    max_edges: int = 12,
-    max_extra: int | None = None,
-    thickness_range: tuple[int, int] | None = None,
-    genus_range: tuple[int, int] = (0, 2),
-) -> MultiGraph:
-    """A random connected multigraph with at most ``max_edges`` edges:
-    a random tree plus random extra edges (loops and parallels allowed),
-    with optional random thickness and genus decorations."""
-    n = rng.randint(1, min(8, max_edges + 1))
-    pairs: list[Pair] = []
-    for v in range(1, n):
-        u = rng.randrange(v)
-        pairs.append((u, v))
-    room = max_edges - len(pairs)
-    if max_extra is not None:
-        room = min(room, max_extra)
-    for _ in range(rng.randint(0, room) if room > 0 else 0):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        pairs.append((min(u, v), max(u, v)))
-    genus = {v: rng.randint(*genus_range) for v in range(n)}
-    thickness = None
-    if thickness_range is not None:
-        thickness = {i: rng.randint(*thickness_range) for i in range(len(pairs))}
-    return MultiGraph(
-        range(n),
-        [(i, u, v) for i, (u, v) in enumerate(pairs)],
-        vertex_genus=genus,
-        edge_thickness=thickness,
-    )
-
-
 @dataclass
 class EquivalenceReport:
     """Outcome of one exhaustive verification run."""
@@ -175,14 +140,16 @@ class EquivalenceReport:
 
 def brute_force_c(g: MultiGraph) -> int:
     """The circuit invariant of the graph as given, thicknesses ignored:
-    the gcd of |signed_common_edges(a, b)| over all pairs of enumerated
-    circuits, a circuit paired with itself included; 0 when there are
-    none.  Applied to the thickness subdivision it gives c of the
-    regular model, independently of the pairing that
+    the gcd of |signed_common_edges(a, b)| over all pairs of the signed
+    edge vectors of :func:`~nerongraph.graph.enumerate_circuits`, a
+    circuit paired with itself included; 0 when there are none.  Applied
+    to the thickness subdivision it gives c of the regular model,
+    independently of the component group that
     :func:`~nerongraph.invariants.circuit_invariant_c` reads."""
-    vectors = [c.cycle_vector() for c in enumerate_circuits(g)]
+    circuits = enumerate_circuits(g)
     return reduce(gcd, (
-        abs(a.dot(b)) for i, a in enumerate(vectors) for b in vectors[i:]
+        abs(signed_common_edges(a, b))
+        for i, a in enumerate(circuits) for b in circuits[i:]
     ), 0)
 
 
@@ -192,15 +159,16 @@ def verify_equivalence(max_edges: int = 6, max_q: int = 6) -> EquivalenceReport:
     For every connected multigraph with at most ``max_edges`` edges (up
     to isomorphism) and every 1 <= q <= ``max_q``, assert that
 
-    * q divides the circuit invariant c,
+    * q divides the circuit invariant c, as :func:`brute_force_c`
+      computes it from the enumerated circuits,
     * the kernel of the boundary map mod q lies in the image of the
       coboundary map mod q,
     * Phi[q] is isomorphic to (Z/q)^b1
 
     agree three ways, and that c read from Phi
-    (:func:`~nerongraph.invariants.circuit_invariant_c`) agrees with
-    brute-force circuit enumeration.  Returns a report carrying any
-    counterexamples; an empty list means the equivalence held everywhere.
+    (:func:`~nerongraph.invariants.circuit_invariant_c`) agrees with the
+    brute-force c.  Returns a report carrying any counterexamples; an
+    empty list means the equivalence held everywhere.
     """
     if not 1 <= max_edges <= MAX_ENUMERATION_EDGES:
         raise BoundsTooLarge(

@@ -40,7 +40,7 @@ class UnknownEdge(NeronGraphError):
 
 
 class TooManyCircuits(NeronGraphError):
-    """Circuit enumeration exceeded the configured cap."""
+    """The enumeration of circuits exceeded the configured cap."""
 
 
 class DimensionMismatch(NeronGraphError):
@@ -51,10 +51,6 @@ class MalformedSpectrum(NeronGraphError):
     """The Smith diagonal of the intersection matrix does not have exactly
     one zero entry, which signals a non-connected input that slipped
     validation."""
-
-
-class NotACycle(NeronGraphError):
-    """A vector expected to lie in the kernel of the boundary map does not."""
 
 
 class InvalidReductionData(NeronGraphError):

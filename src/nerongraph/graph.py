@@ -12,22 +12,24 @@ fundamental cycle basis only when it reduces the basis's pairing.
 
 A *circuit* is a closed walk along oriented edges whose interior vertices
 are pairwise distinct; a loop alone is a circuit of length 1 and a pair of
-parallel edges supports a circuit of length 2.  Circuits map to signed
-edge-indicator vectors, and the inner product of two such vectors counts
-the edges shared by the two circuits with signs recording whether the
-orientations agree.  :class:`Circuit`, :func:`enumerate_circuits` and
-:func:`signed_common_edges` serve the brute-force verifier, the test
-oracles and the demos; the analysis builds no circuit.
+parallel edges supports a circuit of length 2.  A circuit, like every
+cycle here, is a sparse signed edge vector ``{edge index: +1 or -1}``:
+the edges it traverses forwards or backwards.  Its edge set determines
+it, and the dot product of two vectors (:func:`signed_common_edges`)
+counts the edges the two circuits share, with signs recording whether
+the orientations agree.  :func:`enumerate_circuits` serves the
+brute-force verifier, the test oracles and the demos; the analysis
+builds no circuit.
 
-All values are immutable after construction and all operations are pure,
-so everything in this module is safe to share between threads.
+Graphs are immutable after construction and all operations are pure
+(the vectors they return are fresh dicts), so everything in this module
+is safe to share between threads.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -251,136 +253,6 @@ class MultiGraph:
         return seen
 
 
-# -- circuits -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrientedCycleVector:
-    """The image of a circuit in the group of integral 1-chains.
-
-    ``coefficients`` maps each edge id appearing in the circuit to +1 or
-    -1 according to whether the circuit traverses the edge forwards or
-    backwards; absent edges have coefficient 0.
-    """
-
-    coefficients: Mapping[EdgeId, int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", MappingProxyType(dict(self.coefficients)))
-
-    def coefficient(self, e: EdgeId) -> int:
-        return self.coefficients.get(e, 0)
-
-    def dot(self, other: "OrientedCycleVector") -> int:
-        a, b = self.coefficients, other.coefficients
-        if len(b) < len(a):
-            a, b = b, a
-        return sum(c * b[e] for e, c in a.items() if e in b)
-
-    def to_edge_vector(self, graph: MultiGraph) -> tuple[int, ...]:
-        """Coefficients listed in the graph's edge order."""
-        return tuple(self.coefficient(e.id) for e in graph.edges)
-
-
-class Circuit:
-    """A closed edge path with pairwise distinct interior vertices.
-
-    ``traversals`` is a sequence of ``(edge_id, direction)`` pairs with
-    direction +1 (tail to tip) or -1 (tip to tail); consecutive traversals
-    chain head-to-tail and the last head equals the first tail.  Edges are
-    pairwise distinct, so a single non-loop edge walked forth and back is
-    not a circuit, while a loop alone is a circuit of length 1.
-
-    Two circuits are equal when one is a rotation or a reversal of the
-    other; ``canonical()`` returns the lexicographically least such
-    representative (ordering edges by their position in the graph).
-    """
-
-    __slots__ = ("graph", "traversals", "_key")
-
-    def __init__(self, graph: MultiGraph, traversals: Iterable[tuple[EdgeId, int]]) -> None:
-        ts = tuple((e, d) for e, d in traversals)
-        if not ts:
-            raise ValueError("a circuit has at least one traversal")
-        seen_edges = set()
-        starts = []
-        for e, d in ts:
-            edge = graph.edge(e)
-            if d not in (1, -1):
-                raise ValueError(f"direction of {e!r} must be +1 or -1, got {d!r}")
-            if e in seen_edges:
-                raise ValueError(f"edge {e!r} repeated in circuit")
-            seen_edges.add(e)
-            starts.append(edge.tail if d == 1 else edge.tip)
-        heads = [self._head(graph, *t) for t in ts]
-        for i, h in enumerate(heads):
-            nxt = starts[(i + 1) % len(ts)]
-            if h != nxt:
-                raise ValueError(
-                    f"traversal {i} ends at {h!r} but the next starts at {nxt!r}"
-                )
-        if len(set(starts)) != len(starts):
-            raise ValueError("interior vertices of a circuit must be distinct")
-        self.graph = graph
-        self.traversals = ts
-        self._key = self._least_key(graph, ts)
-
-    @staticmethod
-    def _head(graph: MultiGraph, e: EdgeId, d: int) -> VertexId:
-        edge = graph.edge(e)
-        return edge.tip if d == 1 else edge.tail
-
-    @staticmethod
-    def _least_key(graph, ts) -> tuple:
-        """The least rotation or reversal as ``(edge index, 0 forwards or
-        1 backwards)`` pairs.  The edges are distinct, so it starts at the
-        least edge index, walked in one of the two directions."""
-        fwd = [(graph.edge_index(e), 0 if d == 1 else 1) for e, d in ts]
-        rev = [(i, 1 - flag) for i, flag in reversed(fwd)]
-
-        def rotated(seq: list) -> tuple:
-            k = seq.index(min(seq))
-            return tuple(seq[k:] + seq[:k])
-
-        return min(rotated(fwd), rotated(rev))
-
-    def __len__(self) -> int:
-        return len(self.traversals)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Circuit)
-            and self.graph is other.graph
-            and self._key == other._key
-        )
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        parts = ",".join(f"{'+' if d == 1 else '-'}{e}" for e, d in self.traversals)
-        return f"Circuit({parts})"
-
-    def vertices(self) -> tuple[VertexId, ...]:
-        """Start vertices of the traversals, in order."""
-        out = []
-        for e, d in self.traversals:
-            edge = self.graph.edge(e)
-            out.append(edge.tail if d == 1 else edge.tip)
-        return tuple(out)
-
-    def reverse(self) -> "Circuit":
-        return Circuit(self.graph, [(e, -d) for e, d in reversed(self.traversals)])
-
-    def canonical(self) -> "Circuit":
-        lookup = {self.graph.edge_index(e): e for e, _ in self.traversals}
-        ts = [(lookup[i], 1 if flag == 0 else -1) for i, flag in self._key]
-        return Circuit(self.graph, ts)
-
-    def cycle_vector(self) -> OrientedCycleVector:
-        return OrientedCycleVector({e: d for e, d in self.traversals})
-
-
 def betti1(g: MultiGraph) -> int:
     """First Betti number |E| - |V| + 1 of a connected graph."""
     return g.n_edges - g.n_vertices + 1
@@ -435,47 +307,53 @@ def bridges(g: MultiGraph) -> frozenset[int]:
     return frozenset(found)
 
 
-def signed_common_edges(a: Circuit, b: Circuit) -> int:
-    """Inner product of the two circuits' oriented cycle vectors.
+def signed_common_edges(a: Mapping[int, int], b: Mapping[int, int]) -> int:
+    """Dot product of two signed edge vectors ``{edge index: +1 or -1}``.
 
     Shared edges count +1 or -1 according to whether the two circuits
-    traverse them in the same or in opposite directions.  The sign of the
-    total depends on the stored orientations, so downstream consumers use
-    the absolute value.
+    traverse them in the same or in opposite directions, and a circuit
+    paired with itself counts its edges.  The sign of the total depends
+    on the orientations, so downstream consumers use the absolute value.
     """
-    if a.graph is not b.graph:
-        raise ValueError("circuits must belong to the same graph")
-    return a.cycle_vector().dot(b.cycle_vector())
+    if len(b) < len(a):
+        a, b = b, a
+    return sum(sign * b[ei] for ei, sign in a.items() if ei in b)
 
 
-def enumerate_circuits(g: MultiGraph, limit: int = DEFAULT_CIRCUIT_LIMIT) -> list[Circuit]:
-    """All circuits of the graph, one canonical representative each.
+def enumerate_circuits(
+    g: MultiGraph, limit: int = DEFAULT_CIRCUIT_LIMIT
+) -> list[dict[int, int]]:
+    """All circuits of the graph, as signed edge vectors ``{edge index:
+    +1 or -1}`` oriented so that the least edge index has +1.
 
-    A circuit and its reversal count once.  Loops give length-1 circuits
-    and parallel edges give length-2 circuits.  Raises
+    A circuit's edge set determines it, so a circuit and its reversal
+    count once.  Loops give length-1 circuits and parallel edges give
+    length-2 circuits.  The vectors list their edges in increasing
+    index, and the circuits come sorted by those lists.  Raises
     :class:`TooManyCircuits` when more than ``limit`` distinct circuits
     exist.
     """
-    found: dict[tuple, Circuit] = {}
+    found: dict[frozenset[int], dict[int, int]] = {}
 
-    def add(traversals: list[tuple[EdgeId, int]]) -> None:
-        c = Circuit(g, traversals).canonical()
-        if c._key not in found:
+    def add(steps: list[tuple[int, int]]) -> None:
+        key = frozenset(ei for ei, _ in steps)
+        if key not in found:
             if len(found) >= limit:
                 raise TooManyCircuits(f"more than {limit} circuits")
-            found[c._key] = c
+            flip = min(steps)[1]  # the direction of the least edge index
+            found[key] = {ei: d * flip for ei, d in sorted(steps)}
 
     for loops in g._loops_at:
         for ei in loops:
-            add([(g.edges[ei].id, 1)])
+            add([(ei, 1)])
 
     edges, vindex, adjacency = g.edges, g._vindex, g._adjacency
     for s in range(g.n_vertices):
         # Vertex-simple paths from s through vertices > s, closing at s,
         # walked depth first with an explicit stack so that a long cycle
         # cannot pass the interpreter's recursion limit.  Each circuit
-        # arises from its least vertex, once per direction;
-        # canonicalisation collapses the two.
+        # arises from its least vertex, once per direction; the edge set
+        # collapses the two.
         path: list[tuple[int, int, int]] = []  # (edge index, direction, vertex reached)
         stack = [iter(adjacency[s])]
         used_edges: set[int] = set()
@@ -487,9 +365,7 @@ def enumerate_circuits(g: MultiGraph, limit: int = DEFAULT_CIRCUIT_LIMIT) -> lis
                     continue
                 if w == s and path:
                     direction = 1 if vindex[edges[ei].tail] == u else -1
-                    travs = [(edges[j].id, d) for j, d, _ in path]
-                    travs.append((edges[ei].id, direction))
-                    add(travs)
+                    add([(j, d) for j, d, _ in path] + [(ei, direction)])
                 elif w > s and w not in on_path:
                     direction = 1 if vindex[edges[ei].tail] == u else -1
                     path.append((ei, direction, w))
@@ -504,7 +380,7 @@ def enumerate_circuits(g: MultiGraph, limit: int = DEFAULT_CIRCUIT_LIMIT) -> lis
                     used_edges.remove(ei)
                     on_path.remove(w)
 
-    return sorted(found.values(), key=lambda c: c._key)
+    return [found[key] for key in sorted(found, key=sorted)]
 
 
 def spanning_tree(g: MultiGraph) -> dict[int, tuple[int, int]]:

@@ -306,30 +306,21 @@ def _eliminate(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 class SmithDecomposition:
-    """Unimodular U, V and diagonal D with U A V = D.
+    """Unimodular U, V and diagonal D with U A V = D, for the A given.
 
     The diagonal entries are nonnegative, each divides the next, and
-    zeros trail.  Built by hand from ``(u, d, v)``, it holds them and
-    reads its diagonal off d.  From :func:`smith_normal_form` it holds A
-    and the diagonal, computed at once by the diagonal-only loop; U, D
-    and V are computed together, by the elimination with transforms, on
-    the first read of any of them and kept.
+    zeros trail.  The diagonal is computed at once, by the
+    diagonal-only loop; U, D and V are computed together, by the
+    elimination with transforms, on the first read of any of them and
+    kept.
     """
 
     __slots__ = ("_a", "_udv", "_diagonal")
 
-    def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix) -> None:
-        self._a = None
-        self._udv = (u, d, v)
-        self._diagonal = d.diagonal()
-
-    @classmethod
-    def _of(cls, a: IntMatrix) -> "SmithDecomposition":
-        snf = cls.__new__(cls)
-        snf._a = a
-        snf._udv = None
-        snf._diagonal = _smith_diagonal(a)
-        return snf
+    def __init__(self, a: IntMatrix) -> None:
+        self._a = a
+        self._udv = None
+        self._diagonal = _smith_diagonal(a)
 
     def _transforms(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if self._udv is None:
@@ -366,7 +357,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     decomposition.  The result is cached on the (hashable) input matrix
     and holds whatever has been computed of it.
     """
-    return SmithDecomposition._of(a)
+    return SmithDecomposition(a)
 
 # -- graph matrices --------------------------------------------------------
 

@@ -355,13 +355,6 @@ def torsor_neron_finite(d: ReductionData) -> bool:
     return _torsor_finite(g, parent, below, c, d.r)
 
 
-def divisibility_chain(m1: int, m2: int, m3: int, r: int) -> bool:
-    """m1 | m2, m2 | m3 and m3 | r * m1."""
-    if min(m1, m2, m3, r) < 1:
-        raise ValueError("all arguments must be positive")
-    return m2 % m1 == 0 and m3 % m2 == 0 and (r * m1) % m3 == 0
-
-
 def analyze(d: ReductionData) -> AnalysisReport:
     """Run the full battery of invariants and verdicts on one input.
 

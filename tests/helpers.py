@@ -6,10 +6,11 @@ traversals, membership modulo q by exhaustive search over (Z/q)^cols,
 the component group once more through the quotient-of-images
 presentation via stacked Smith reductions, and c, the support and the
 torsor pairing w through the cycles of a fundamental basis
-(:class:`CyclePairing`), which the analysis no longer builds.  The matrix helpers that
-only the tests need (zero matrices, the Bareiss determinant
-that checks Smith transforms are unimodular) and the coboundary witness
-live here too.
+(:class:`CyclePairing`), which the analysis no longer builds.  The code that
+only the tests need lives here too: zero matrices, the Bareiss
+determinant that checks Smith transforms are unimodular, the seeded
+random graph generator, the divisibility chain m1 | m2 | m3 | r * m1,
+and the coboundary witness with its :class:`NotACycle`.
 """
 
 from __future__ import annotations
@@ -21,15 +22,11 @@ from math import gcd
 from typing import Sequence
 
 from nerongraph import (
-    Circuit,
     DimensionMismatch,
-    IntMatrix,
     MultiGraph,
-    NotACycle,
-    OrientedCycleVector,
+    NeronGraphError,
     ReductionData,
     boundary_matrix,
-    coboundary_matrix,
     fundamental_cycle_basis,
     intersection_matrix,
     is_full_r_torsion,
@@ -43,6 +40,11 @@ from nerongraph import (
 )
 from nerongraph.enumeration import brute_force_c
 from nerongraph.graph import spanning_tree
+from nerongraph.homology import IntMatrix, coboundary_matrix
+
+
+class NotACycle(NeronGraphError):
+    """A vector expected to lie in the kernel of the boundary map does not."""
 
 
 # -- matrices ---------------------------------------------------------------
@@ -145,6 +147,40 @@ def two_triangles_bridge() -> MultiGraph:
     return MultiGraph(vs, es)
 
 
+def random_connected_multigraph(
+    rng: random.Random,
+    max_edges: int = 12,
+    max_extra: int | None = None,
+    thickness_range: tuple[int, int] | None = None,
+    genus_range: tuple[int, int] = (0, 2),
+) -> MultiGraph:
+    """A random connected multigraph with at most ``max_edges`` edges:
+    a random tree plus random extra edges (loops and parallels allowed),
+    with optional random thickness and genus decorations."""
+    n = rng.randint(1, min(8, max_edges + 1))
+    pairs: list[tuple[int, int]] = []
+    for v in range(1, n):
+        u = rng.randrange(v)
+        pairs.append((u, v))
+    room = max_edges - len(pairs)
+    if max_extra is not None:
+        room = min(room, max_extra)
+    for _ in range(rng.randint(0, room) if room > 0 else 0):
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        pairs.append((min(u, v), max(u, v)))
+    genus = {v: rng.randint(*genus_range) for v in range(n)}
+    thickness = None
+    if thickness_range is not None:
+        thickness = {i: rng.randint(*thickness_range) for i in range(len(pairs))}
+    return MultiGraph(
+        range(n),
+        [(i, u, v) for i, (u, v) in enumerate(pairs)],
+        vertex_genus=genus,
+        edge_thickness=thickness,
+    )
+
+
 def scrambled(rng: random.Random, g: MultiGraph) -> MultiGraph:
     """The same decorated graph with its vertex order shuffled and each
     edge reversed with probability 1/2."""
@@ -222,47 +258,59 @@ class CyclePairing:
 
 
 
-def naive_circuits(g: MultiGraph) -> set[Circuit]:
-    """Depth-first enumeration of all circuits, from every starting edge
-    and direction, deduplicated through Circuit equality."""
+def divisibility_chain(m1: int, m2: int, m3: int, r: int) -> bool:
+    """m1 | m2, m2 | m3 and m3 | r * m1."""
+    if min(m1, m2, m3, r) < 1:
+        raise ValueError("all arguments must be positive")
+    return m2 % m1 == 0 and m3 % m2 == 0 and (r * m1) % m3 == 0
 
-    def endpoints(eid, d):
-        e = g.edge(eid)
+
+def naive_circuits(g: MultiGraph) -> list[dict[int, int]]:
+    """Depth-first enumeration of all circuits, from every starting edge
+    and direction, as signed edge vectors turned so that the least edge
+    index has +1; each circuit once, sorted by its list of edge
+    indices."""
+
+    def endpoints(ei, d):
+        e = g.edges[ei]
         return (e.tail, e.tip) if d == 1 else (e.tip, e.tail)
 
-    out: set[Circuit] = set()
+    out: set[tuple[tuple[int, int], ...]] = set()
 
-    def extend(seq, used, interior):
+    def extend(seq, interior):
         start = endpoints(*seq[0])[0]
         cur = endpoints(*seq[-1])[1]
         if cur == start:
-            out.add(Circuit(g, seq))
+            least = min(seq)
+            out.add(tuple(sorted((ei, d * least[1]) for ei, d in seq)))
             return
         if cur in interior:
             return
-        for e in g.edges:
-            if e.id in used:
+        used = {ei for ei, _ in seq}
+        for ei in range(g.n_edges):
+            if ei in used:
                 continue
             for d in (1, -1):
-                if endpoints(e.id, d)[0] == cur:
-                    extend(seq + [(e.id, d)], used | {e.id}, interior | {cur})
+                if endpoints(ei, d)[0] == cur:
+                    extend(seq + [(ei, d)], interior | {cur})
 
-    for e in g.edges:
+    for ei in range(g.n_edges):
         for d in (1, -1):
-            extend([(e.id, d)], {e.id}, set())
-    return out
+            extend([(ei, d)], set())
+    return [dict(pairs) for pairs in sorted(out, key=lambda pairs: [ei for ei, _ in pairs])]
 
 
 def coboundary_witness(
-    g: MultiGraph, z: OrientedCycleVector, q: int
+    g: MultiGraph, z: dict[int, int], q: int
 ) -> tuple[int, ...] | None:
     """A vertex potential A with (coboundary mod q)(A) = z, or None.
 
-    The cycle vector must lie in the kernel of the boundary map modulo q,
-    otherwise :class:`NotACycle` is raised.  A returned witness has been
+    The signed edge vector ``z`` (``{edge index: coefficient}``) must lie
+    in the kernel of the boundary map modulo q, otherwise
+    :class:`NotACycle` is raised.  A returned witness has been
     re-verified against z before being handed back.
     """
-    zvec = z.to_edge_vector(g)
+    zvec = [z.get(i, 0) for i in range(g.n_edges)]
     if any(x % q != 0 for x in boundary_matrix(g).apply(zvec)):
         raise NotACycle("vector is not a cycle modulo q")
     delta = coboundary_matrix(g)

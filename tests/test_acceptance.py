@@ -10,18 +10,14 @@ import random
 import time
 
 from nerongraph import (
-    IntMatrix,
     MultiGraph,
     ReductionData,
     betti1,
     boundary_matrix,
-    divisibility_chain,
-    fixture,
     group_neron_finite,
     index_m2,
     index_m3,
     is_r_divided,
-    kernel_generators_mod,
     phi_group,
     smith_normal_form,
     spanning_tree_count,
@@ -32,9 +28,17 @@ from nerongraph import (
     verify_equivalence,
 )
 from nerongraph.cli import main
-from nerongraph.enumeration import random_connected_multigraph
+from nerongraph.fixtures import fixture
+from nerongraph.homology import IntMatrix, kernel_generators_mod
 
-from helpers import banana, determinant, loop_graph, span_mod
+from helpers import (
+    banana,
+    determinant,
+    divisibility_chain,
+    loop_graph,
+    random_connected_multigraph,
+    span_mod,
+)
 
 
 def test_criterion_1_reference_table(capsys):

@@ -143,6 +143,14 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
         assert "genus: duplicate key" in capsys.readouterr().err
 
+    def test_not_utf8_text(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"r": 2}')
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: not UTF-8 text\n"
+        assert captured.out == ""
+
     def test_integer_literal_past_digit_limit(self, tmp_path, capsys):
         path = tmp_path / "long.json"
         path.write_text('{"r": 1' + "0" * 5000 + ', "vertices": [{"id": "v0"}]}')
@@ -151,11 +159,19 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("fmt", ["table", "machine"])
     def test_huge_genus_rejected(self, tmp_path, capsys, fmt):
-        doc = {"r": 2, "vertices": [{"id": "v0", "genus": 10000}]}
-        assert main(["analyze", write(tmp_path, doc), "--format", fmt]) == 2
-        captured = capsys.readouterr()
-        assert "genus" in captured.err and "r = 2" in captured.err
-        assert captured.out == ""
+        # 10^400 is past the range of a float; two genera of 4300 digits
+        # parse, but their sum has more digits than str() converts.  The
+        # message shows the genus cut short, or only its size.
+        big = 10**4300 - 1
+        for genera in ([10000], [10**400], [big, big]):
+            doc = {"r": 2,
+                   "vertices": [{"id": f"v{i}", "genus": x} for i, x in enumerate(genera)],
+                   "edges": [{"id": f"e{i}", "tail": "v0", "tip": f"v{i}"}
+                             for i in range(1, len(genera))]}
+            assert main(["analyze", write(tmp_path, doc), "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert "genus" in captured.err and "r = 2" in captured.err
+            assert captured.out == "" and len(captured.err) < 300
 
     def test_genus_limit_is_exact(self, tmp_path, capsys):
         # 10^(2g) has 2g + 1 digits: 4299 prints, 4301 does not.

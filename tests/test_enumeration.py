@@ -7,9 +7,10 @@ from nerongraph import BoundsTooLarge, betti1
 from nerongraph.enumeration import (
     _canonical_pairs,
     connected_multigraphs,
-    random_connected_multigraph,
     verify_equivalence,
 )
+
+from helpers import random_connected_multigraph
 
 
 def _labelled(g):

@@ -1,15 +1,14 @@
 from nerongraph import (
-    FIXTURE_NAMES,
     ReductionData,
     betti1,
     circuit_invariant_c,
-    fixture,
     index_m2,
     index_m3,
     paper_fixtures,
     thickness_invariant_t,
     total_genus,
 )
+from nerongraph.fixtures import FIXTURE_NAMES, fixture
 
 import pytest
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import nerongraph
 from nerongraph import (
     BoundsTooLarge,
-    IntMatrix,
     InvalidReductionData,
     betti1,
     is_nonseparating,
@@ -22,8 +21,6 @@ from nerongraph import (
     StabilizerMismatch,
     analyze,
     circuit_invariant_c,
-    divisibility_chain,
-    fixture,
     group_neron_finite,
     homological_criterion,
     index_m2,
@@ -39,12 +36,10 @@ from nerongraph import (
     torsor_neron_finite,
     twisted_roots_finite,
 )
-from nerongraph.enumeration import (
-    brute_force_c,
-    random_connected_multigraph,
-)
+from nerongraph.enumeration import brute_force_c
+from nerongraph.fixtures import fixture
 from nerongraph.graph import bridges, fundamental_cycle_basis, maximal_chains
-from nerongraph.homology import cycle_pairing_matrix, kirchhoff_matrix
+from nerongraph.homology import IntMatrix, cycle_pairing_matrix, kirchhoff_matrix
 from nerongraph.invariants import MAX_PRESENTATION_DIMENSION
 
 from helpers import (
@@ -53,7 +48,9 @@ from helpers import (
     barbell,
     cycle_graph,
     loop_graph,
+    divisibility_chain,
     path_graph,
+    random_connected_multigraph,
     regular_model_report,
     scrambled,
     two_triangles_bridge,

@@ -1,9 +1,16 @@
 """Source rules that no other test would catch."""
 
 import ast
+import inspect
 import pathlib
+import re
+import types
 
-SRC = pathlib.Path(__file__).parent.parent / "src" / "nerongraph"
+import nerongraph
+from nerongraph import errors
+
+ROOT = pathlib.Path(__file__).parent.parent
+SRC = ROOT / "src" / "nerongraph"
 
 
 def test_no_assert_statements_in_the_package():
@@ -15,3 +22,35 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert list(SRC.rglob("*.py")) and found == []
+
+
+def _caller_sources() -> list[str]:
+    """The demos, and the Python code blocks of the README."""
+    demos = [path.read_text() for path in sorted((ROOT / "demos").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    return demos + blocks
+
+
+def test_public_surface_is_what_callers_import():
+    imported = {
+        alias.name
+        for source in _caller_sources()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "nerongraph" and node.level == 0
+        for alias in node.names
+    }
+    error_classes = {
+        name for name, value in vars(errors).items()
+        if inspect.isclass(value) and issubclass(value, errors.NeronGraphError)
+    }
+    assert "MultiGraph" in imported and "NeronGraphError" in error_classes
+    assert set(nerongraph.__all__) == imported | error_classes | {"AbelianGroup", "AnalysisReport"}
+    assert len(nerongraph.__all__) == len(set(nerongraph.__all__))
+
+    others = {
+        name for name, value in vars(nerongraph).items()
+        if not name.startswith("_") and name not in nerongraph.__all__
+        and not isinstance(value, types.ModuleType)
+    }
+    assert others == set()
