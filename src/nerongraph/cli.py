@@ -20,17 +20,29 @@ with ``m1`` defaulting to 1, ``genus`` to 0, ``thickness`` and
 reports echo the normalised input, so analyse -> serialise -> re-analyse
 is idempotent.
 
+The machine report is the text of ``json.dumps(report, indent=2)``, but
+not written by it: at an indent, ``json.dumps`` leaves its C encoder for
+the pure-Python one, which cost more than the parsing.  The vertex and
+edge records, nearly all of a report, are written by one template each,
+with strings escaped by ``json.encoder.encode_basestring_ascii`` (the
+escaper ``json.dumps`` uses) and integers by ``int.__repr__``; a short
+recursive writer does the rest.  The tests hold it to ``json.dumps``.
+In the same way the parser tests each well-formed record in one
+expression and names the field only for a record that fails.
+
 Exit codes: 0 success, 1 counterexample found by verify-lemma, 2 input
-or validation error.
+or validation error, or a stdout that refuses the output (a closed pipe,
+a full disk).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
-from typing import Any
+from typing import Any, Iterable
 
 from . import __version__
 from .errors import BadModulus, BoundsTooLarge, NeronGraphError, ParseError, shown
@@ -72,17 +84,62 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
-def _known_keys(obj: dict, allowed: set[str], path: str) -> None:
+def _known_keys(obj: dict, allowed: frozenset[str], path: str) -> None:
     for key in obj:
         if key not in allowed:
             raise ParseError(f"{path}.{shown(key)}: unknown field")
 
 
+# The fields a document, a vertex record and an edge record may have.
+_DOCUMENT_FIELDS = frozenset({"name", "r", "m1", "vertices", "edges", "multidegree"})
+_VERTEX_FIELDS = frozenset({"id", "genus"})
+_EDGE_FIELDS = frozenset({"id", "tail", "tip", "thickness", "stabilizer"})
+
+
+def _vertex_record(rec: Any, path: str) -> tuple[str, int]:
+    """The id and genus of a vertex record, checked field by field."""
+    _expect(rec, dict, path)
+    _known_keys(rec, _VERTEX_FIELDS, path)
+    if "id" not in rec:
+        raise ParseError(f"{path}.id: required field is missing")
+    vid = _expect(rec["id"], str, f"{path}.id")
+    g = _expect(rec.get("genus", 0), int, f"{path}.genus")
+    if g < 0:
+        raise ParseError(f"{path}.genus: must be nonnegative")
+    return vid, g
+
+
+def _edge_record(rec: Any, path: str) -> tuple[str, str, str, int, int]:
+    """The id, tail, tip, thickness and stabilizer of an edge record,
+    checked field by field."""
+    _expect(rec, dict, path)
+    _known_keys(rec, _EDGE_FIELDS, path)
+    for field in ("id", "tail", "tip"):
+        if field not in rec:
+            raise ParseError(f"{path}.{field}: required field is missing")
+    eid = _expect(rec["id"], str, f"{path}.id")
+    tail = _expect(rec["tail"], str, f"{path}.tail")
+    tip = _expect(rec["tip"], str, f"{path}.tip")
+    decorations = []
+    for field in ("thickness", "stabilizer"):
+        value = _expect(rec.get(field, 1), int, f"{path}.{field}")
+        if value < 1:
+            raise ParseError(f"{path}.{field}: must be >= 1")
+        decorations.append(value)
+    return eid, tail, tip, *decorations
+
+
 def parse_input_document(obj: Any) -> tuple[str, ReductionData]:
     """Turn a decoded JSON document into named reduction data, raising
-    :class:`ParseError` with a field-precise path on any malformation."""
+    :class:`ParseError` with a field-precise path on any malformation.
+
+    A well-formed record passes one expression of exact type tests and
+    builds no path; only a record that fails it goes through the checks
+    field by field (:func:`_vertex_record`, :func:`_edge_record`), which
+    name the fault, or accept a subclass of a JSON type from a Python
+    caller."""
     _expect(obj, dict, "document")
-    _known_keys(obj, {"name", "r", "m1", "vertices", "edges", "multidegree"}, "document")
+    _known_keys(obj, _DOCUMENT_FIELDS, "document")
     name = _expect(obj.get("name", "input"), str, "name")
     if "r" not in obj:
         raise ParseError("r: required field is missing")
@@ -92,46 +149,36 @@ def parse_input_document(obj: Any) -> tuple[str, ReductionData]:
     vertices: list[str] = []
     genus: dict[str, int] = {}
     for i, rec in enumerate(_expect(obj.get("vertices", []), list, "vertices")):
-        path = f"vertices[{i}]"
-        _expect(rec, dict, path)
-        _known_keys(rec, {"id", "genus"}, path)
-        if "id" not in rec:
-            raise ParseError(f"{path}.id: required field is missing")
-        vid = _expect(rec["id"], str, f"{path}.id")
+        if not (type(rec) is dict and rec.keys() <= _VERTEX_FIELDS
+                and type(vid := rec.get("id")) is str
+                and type(g := rec.get("genus", 0)) is int and g >= 0):
+            vid, g = _vertex_record(rec, f"vertices[{i}]")
         vertices.append(vid)
-        g = _expect(rec.get("genus", 0), int, f"{path}.genus")
-        if g < 0:
-            raise ParseError(f"{path}.genus: must be nonnegative")
         genus[vid] = g
 
     edges: list[tuple[str, str, str]] = []
     thickness: dict[str, int] = {}
     stabilizer: dict[str, int] = {}
     for i, rec in enumerate(_expect(obj.get("edges", []), list, "edges")):
-        path = f"edges[{i}]"
-        _expect(rec, dict, path)
-        _known_keys(rec, {"id", "tail", "tip", "thickness", "stabilizer"}, path)
-        for field in ("id", "tail", "tip"):
-            if field not in rec:
-                raise ParseError(f"{path}.{field}: required field is missing")
-        eid = _expect(rec["id"], str, f"{path}.id")
-        tail = _expect(rec["tail"], str, f"{path}.tail")
-        tip = _expect(rec["tip"], str, f"{path}.tip")
+        if not (type(rec) is dict and rec.keys() <= _EDGE_FIELDS
+                and type(eid := rec.get("id")) is str
+                and type(tail := rec.get("tail")) is str
+                and type(tip := rec.get("tip")) is str
+                and type(eta := rec.get("thickness", 1)) is int and eta >= 1
+                and type(stab := rec.get("stabilizer", 1)) is int and stab >= 1):
+            eid, tail, tip, eta, stab = _edge_record(rec, f"edges[{i}]")
         edges.append((eid, tail, tip))
-        for field, table, least in (("thickness", thickness, 1), ("stabilizer", stabilizer, 1)):
-            value = _expect(rec.get(field, 1), int, f"{path}.{field}")
-            if value < least:
-                raise ParseError(f"{path}.{field}: must be >= {least}")
-            table[eid] = value
+        thickness[eid] = eta
+        stabilizer[eid] = stab
 
     multidegree = None
     if obj.get("multidegree") is not None:
         md = _expect(obj["multidegree"], dict, "multidegree")
-        multidegree = {}
-        for key, value in md.items():
-            multidegree[_expect(key, str, "multidegree key")] = _expect(
-                value, int, f"multidegree.{shown(key)}"
-            )
+        multidegree = dict(md)
+        if not all(type(k) is str and type(v) is int for k, v in md.items()):
+            for key, value in md.items():
+                _expect(key, str, "multidegree key")
+                _expect(value, int, f"multidegree.{shown(key)}")
 
     graph = MultiGraph(vertices, edges, genus, thickness, stabilizer)
     return name, ReductionData(graph=graph, r=r, m1=m1, multidegree=multidegree)
@@ -225,6 +272,76 @@ def report_document(name: str, data: ReductionData, report: AnalysisReport) -> d
     }
 
 
+# -- the machine report -----------------------------------------------------
+
+# The string escaper json.dumps uses by default (ensure_ascii).
+_quoted = json.encoder.encode_basestring_ascii
+_int_text = int.__repr__
+
+
+class _Text(str):
+    """JSON text already written, which :func:`_json_text` copies as is."""
+
+
+def _json_text(value: Any, newline: str) -> str:
+    """``json.dumps(value, indent=2)`` for strings, integers, booleans,
+    None, lists and dicts with string keys, with ``newline``
+    the line break and indentation of the line that holds ``value``."""
+    if type(value) is _Text:
+        return value
+    if isinstance(value, str):
+        return _quoted(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _int_text(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",".join(f"{inner}{_quoted(k)}: {_json_text(v, inner)}"
+                         for k, v in value.items())
+        return f"{{{items}{newline}}}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = ",".join(inner + _json_text(v, inner) for v in value)
+        return f"[{items}{newline}]"
+    raise TypeError(f"cannot write a {type(value).__name__} as JSON")
+
+
+def _records_text(lines: list[str]) -> _Text:
+    """A list, at depth 2 of the report, of records already written."""
+    return _Text(f"[{','.join(lines)}\n    ]" if lines else "[]")
+
+
+def _machine_text(doc: dict) -> str:
+    """Exactly ``json.dumps(doc, indent=2)`` for a :func:`report_document`.
+
+    The records of ``input.vertices`` and ``input.edges``, nearly all of
+    a report, are written by one template each; :func:`_json_text`
+    writes the rest."""
+    given = doc["input"]
+    vertices = [
+        f'\n      {{\n        "id": {_quoted(v["id"])},\n        "genus": '
+        f'{_int_text(v["genus"])}\n      }}'
+        for v in given["vertices"]
+    ]
+    edges = [
+        f'\n      {{\n        "id": {_quoted(e["id"])},\n        "tail": '
+        f'{_quoted(e["tail"])},\n        "tip": {_quoted(e["tip"])},\n        '
+        f'"thickness": {_int_text(e["thickness"])},\n        "stabilizer": '
+        f'{_int_text(e["stabilizer"])}\n      }}'
+        for e in given["edges"]
+    ]
+    written = dict(given, vertices=_records_text(vertices), edges=_records_text(edges))
+    return _json_text(dict(doc, input=written), "\n")
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -234,7 +351,36 @@ def _yesno(flag: bool | None) -> str:
     return "yes" if flag else "no"
 
 
-def _print_human_report(name: str, data: ReductionData, report: AnalysisReport) -> None:
+class _OutputRefused(Exception):
+    """stdout refused a command's output: a closed pipe or a full disk."""
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write a command's output to stdout and flush it, so that a stdout
+    that refuses it fails here, where :func:`main` reports it, and not
+    at exit."""
+    text = "".join(f"{line}\n" for line in lines)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _OutputRefused(exc.strerror or str(exc)) from exc
+
+
+def _discard_stdout() -> None:
+    """Point the stdout file descriptor at the null device, so that what
+    is still buffered for it is dropped at exit instead of failing again
+    and printing "Exception ignored"."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a file, like a StringIO
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _human_report(name: str, data: ReductionData, report: AnalysisReport) -> list[str]:
     g = data.graph
     lines = [
         ("input", f"{name} (r = {data.r}, m1 = {data.m1})"),
@@ -254,8 +400,7 @@ def _print_human_report(name: str, data: ReductionData, report: AnalysisReport) 
         ("torsion generically", str(report.torsion_count_generic)),
     ]
     width = max(len(k) for k, _ in lines)
-    for key, value in lines:
-        print(f"{key:<{width}}  {value}")
+    return [f"{key:<{width}}  {value}" for key, value in lines]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -295,9 +440,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"more than {sys.get_int_max_str_digits()} digits, too long to print"
         )
     if args.format == "machine":
-        print(json.dumps(report_document(name, data, report), indent=2))
+        _write_lines([_machine_text(report_document(name, data, report))])
     else:
-        _print_human_report(name, data, report)
+        _write_lines(_human_report(name, data, report))
     return 0
 
 
@@ -309,8 +454,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     for name, graph in paper_fixtures():
         report = analyze(ReductionData(graph=graph, r=r))
         rows.append((name, report.c, report.t, report.m1, report.m2, report.m3))
-    print(f"r = {r}")
-    print()
     header = ("fixture", "c", "t", "m1", "m2", "m3")
     widths = [
         max(len(str(row[i])) for row in [header, *rows]) for i in range(len(header))
@@ -319,22 +462,22 @@ def cmd_table(args: argparse.Namespace) -> int:
         name = f"{row[0]:<{widths[0]}}"
         rest = "  ".join(f"{str(x):>{widths[i + 1]}}" for i, x in enumerate(row[1:]))
         return f"{name}  {rest}"
-    print(fmt(header))
-    for row in rows:
-        print(fmt(row))
+    _write_lines([f"r = {r}", "", fmt(header), *map(fmt, rows)])
     return 0
 
 
 def cmd_verify_lemma(args: argparse.Namespace) -> int:
     report = verify_equivalence(max_edges=args.max_edges, max_q=args.max_q)
+    lines = []
     for m in sorted(report.graphs_by_edges):
         count = report.graphs_by_edges[m]
-        print(f"edges={m}: {count} graph{'s' if count != 1 else ''}")
-    print(
+        lines.append(f"edges={m}: {count} graph{'s' if count != 1 else ''}")
+    lines.append(
         f"checked {report.total_graphs} graphs x q <= {report.max_q}: "
         f"{report.checks} criterion triples, "
         f"{len(report.counterexamples)} counterexamples"
     )
+    _write_lines(lines)
     if not report.ok:
         for line in report.counterexamples:
             print(f"counterexample: {line}", file=sys.stderr)
@@ -399,6 +542,10 @@ def main(argv: list[str] | None = None) -> int:
         return command(args)
     except NeronGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except _OutputRefused as exc:
+        _discard_stdout()
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 2
 
 

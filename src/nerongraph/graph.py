@@ -352,8 +352,9 @@ def enumerate_circuits(
         # Vertex-simple paths from s through vertices > s, closing at s,
         # walked depth first with an explicit stack so that a long cycle
         # cannot pass the interpreter's recursion limit.  Each circuit
-        # arises from its least vertex, once per direction; the edge set
-        # collapses the two.
+        # arises from its least vertex once per direction; only the
+        # direction whose first edge index is below its closing one is
+        # closed.
         path: list[tuple[int, int, int]] = []  # (edge index, direction, vertex reached)
         stack = [iter(adjacency[s])]
         used_edges: set[int] = set()
@@ -363,7 +364,7 @@ def enumerate_circuits(
             for ei, w in stack[-1]:
                 if ei in used_edges:
                     continue
-                if w == s and path:
+                if w == s and path and path[0][0] < ei:
                     direction = 1 if vindex[edges[ei].tail] == u else -1
                     add([(j, d) for j, d, _ in path] + [(ei, direction)])
                 elif w > s and w not in on_path:

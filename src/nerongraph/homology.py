@@ -124,9 +124,6 @@ class IntMatrix:
             )
         return tuple(sum(a * b for a, b in zip(row, vector)) for row in self._data)
 
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self._data[i][i] for i in range(min(self.rows, self.cols)))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, IntMatrix)

@@ -7,10 +7,11 @@ the component group once more through the quotient-of-images
 presentation via stacked Smith reductions, and c, the support and the
 torsor pairing w through the cycles of a fundamental basis
 (:class:`CyclePairing`), which the analysis no longer builds.  The code that
-only the tests need lives here too: zero matrices, the Bareiss
-determinant that checks Smith transforms are unimodular, the seeded
-random graph generator, the divisibility chain m1 | m2 | m3 | r * m1,
-and the coboundary witness with its :class:`NotACycle`.
+only the tests need lives here too: zero matrices, the main diagonal,
+the Bareiss determinant that checks Smith transforms are unimodular,
+the seeded random graph generator, the divisibility chain
+m1 | m2 | m3 | r * m1, and the coboundary witness with its
+:class:`NotACycle`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ class NotACycle(NeronGraphError):
 
 def zeros(rows: int, cols: int) -> IntMatrix:
     return IntMatrix(((0,) * cols for _ in range(rows)), cols=cols)
+
+
+def main_diagonal(a: IntMatrix) -> tuple[int, ...]:
+    """The entries a[i, i], for i up to the smaller dimension."""
+    return tuple(a[i, i] for i in range(min(a.rows, a.cols)))
 
 
 def determinant(a: IntMatrix) -> int:

@@ -1,10 +1,17 @@
+import errno
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerongraph import __version__
-from nerongraph.cli import main, parse_input_document
-from nerongraph.invariants import MAX_PRESENTATION_DIMENSION
+from nerongraph.cli import _machine_text, main, parse_input_document, report_document
+from nerongraph.invariants import MAX_PRESENTATION_DIMENSION, analyze
 
 BANANA_DOC = {
     "name": "banana",
@@ -269,6 +276,76 @@ class TestAnalyze:
         assert seen == [4]
 
 
+class _RefusingStdout:
+    """A stdout whose every write fails with the given error."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        pass
+
+
+class TestOutputErrors:
+    """A stdout that refuses the output gives one line on stderr and
+    exit 2, in every subcommand."""
+
+    @pytest.mark.parametrize("error", [
+        BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
+        OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+    ], ids=["broken-pipe", "disk-full"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{doc}", "--format", "machine"],
+        ["analyze", "{doc}"],
+        ["table"],
+        ["verify-lemma", "--max-edges", "2", "--max-q", "2"],
+    ], ids=["machine", "human", "table", "verify-lemma"])
+    def test_one_line_and_exit_2(self, tmp_path, capsys, monkeypatch, error, argv):
+        doc = write(tmp_path, BANANA_DOC)
+        monkeypatch.setattr(sys, "stdout", _RefusingStdout(error))
+        assert main([a.replace("{doc}", doc) for a in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write the output: {error.strerror}\n")
+
+    @staticmethod
+    def run_cli(argv, stdout):
+        import nerongraph
+
+        src = pathlib.Path(nerongraph.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run([sys.executable, "-m", "nerongraph.cli", *argv],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=60)
+
+    def test_closed_pipe(self, tmp_path):
+        # A report longer than the stdout buffer fails partway through
+        # the write and leaves output buffered for the exit, which must
+        # not fail again.
+        n = 300
+        doc = {"r": 2, "vertices": [{"id": f"v{i}"} for i in range(n)],
+               "edges": [{"id": f"e{i}", "tail": f"v{i - 1}", "tip": f"v{i}"}
+                         for i in range(1, n)]}
+        read, written = os.pipe()
+        os.close(read)
+        try:
+            result = self.run_cli(["analyze", write(tmp_path, doc), "--format", "machine"],
+                                  written)
+        finally:
+            os.close(written)
+        assert result.returncode == 2
+        assert result.stderr == "error: cannot write the output: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full:
+            result = self.run_cli(["table"], full)
+        assert result.returncode == 2
+        assert result.stderr == "error: cannot write the output: No space left on device\n"
+
+
 class TestParseInputDocument:
     def test_defaults_applied(self):
         doc = {
@@ -288,6 +365,187 @@ class TestParseInputDocument:
 
         with pytest.raises(ParseError, match="r: required"):
             parse_input_document({"vertices": [], "edges": []})
+
+
+# Every corruption of every vertex and edge field, and the message it
+# gets.  The record under test is the second of its list, after a valid
+# one, so the path carries index 1.
+_RECORDS = {
+    "vertices": {"id": "v1", "genus": 1},
+    "edges": {"id": "e1", "tail": "v0", "tip": "v1", "thickness": 2, "stabilizer": 1},
+}
+_STRING_FIELDS = ("id", "tail", "tip")
+_LEAST = {"genus": (-1, "must be nonnegative"), "thickness": (0, "must be >= 1"),
+          "stabilizer": (0, "must be >= 1")}
+_NOT_OF_TYPE = (("number", 1.0), ("null", None), ("array", []), ("object", {}))
+_NOT_AN_OBJECT = (("array", []), ("string", "v1"), ("integer", 1), ("number", 1.5),
+                  ("null", None), ("boolean", False))
+
+
+def _corruptions():
+    """(case id, section, record, the expected message)."""
+    out = []
+    for section, base in _RECORDS.items():
+        path = f"{section}[1]"
+        for field in base:
+            kind = "string" if field in _STRING_FIELDS else "integer"
+            where = f"{path}.{field}"
+
+            def case(label, value, message):
+                out.append((f"{section}-{field}-{label}", section,
+                            dict(base, **{field: value}), message))
+
+            if field in _STRING_FIELDS:
+                out.append((f"{section}-{field}-missing", section,
+                            {k: v for k, v in base.items() if k != field},
+                            f"{where}: required field is missing"))
+                case("wrong-type", 3, f"{where}: expected string, got integer")
+            else:
+                case("wrong-type", "3", f"{where}: expected integer, got string")
+                case("huge-wrong-type", "9" * 100, f"{where}: expected integer, got string")
+                least, why = _LEAST[field]
+                case("below-least", least, f"{where}: {why}")
+                case("far-below-least", -(10 ** 300), f"{where}: {why}")
+            case("boolean", True, f"{where}: expected {kind}, got boolean")
+            for got, value in _NOT_OF_TYPE:
+                case(got, value, f"{where}: expected {kind}, got {got}")
+        out.append((f"{section}-unknown-key", section, dict(base, colour="red"),
+                    f"{path}.colour: unknown field"))
+        for got, value in _NOT_AN_OBJECT:
+            out.append((f"{section}-record-is-{got}", section, value,
+                        f"{path}: expected object, got {got}"))
+    # Several faults in one record: unknown keys come first, then the
+    # required fields in the order id, tail, tip, then the types and the
+    # bounds field by field.
+    out += [
+        ("vertices-unknown-before-missing", "vertices", {"colour": 1},
+         "vertices[1].colour: unknown field"),
+        ("vertices-id-before-genus", "vertices", {"id": 1, "genus": -1},
+         "vertices[1].id: expected string, got integer"),
+        ("edges-missing-before-types", "edges", {"id": 3, "tail": "v0"},
+         "edges[1].tip: required field is missing"),
+        ("edges-tail-before-tip", "edges", {"id": "e1", "tail": None, "tip": 1},
+         "edges[1].tail: expected string, got null"),
+        ("edges-thickness-before-stabilizer", "edges",
+         {"id": "e1", "tail": "v0", "tip": "v1", "thickness": 0, "stabilizer": "x"},
+         "edges[1].thickness: must be >= 1"),
+        ("edges-unknown-before-all", "edges", {"thickness": True, "x": 1},
+         "edges[1].x: unknown field"),
+    ]
+    return out
+
+
+_CORRUPTIONS = _corruptions()
+
+
+class TestRecordMessages:
+    """The message for each malformed vertex or edge record, pinned."""
+
+    @staticmethod
+    def document(section, record):
+        doc = {"r": 2, "vertices": [{"id": "v0"}, dict(_RECORDS["vertices"])],
+               "edges": [{"id": "e0", "tail": "v0", "tip": "v1"}, dict(_RECORDS["edges"])]}
+        doc[section][1] = record
+        return doc
+
+    @pytest.mark.parametrize("section,record,message", [c[1:] for c in _CORRUPTIONS],
+                             ids=[c[0] for c in _CORRUPTIONS])
+    def test_message(self, section, record, message):
+        from nerongraph import ParseError
+
+        with pytest.raises(ParseError) as exc:
+            parse_input_document(self.document(section, record))
+        assert str(exc.value) == message
+
+    def test_valid_records_pass(self):
+        name, data = parse_input_document(self.document("edges", _RECORDS["edges"]))
+        assert data.graph.thickness("e1") == 2 and data.graph.genus("v1") == 1
+
+    def test_python_subclasses_still_accepted(self):
+        # Callers in Python may pass subclasses of the JSON types, as
+        # before: a str subclass id, an IntEnum thickness, an OrderedDict.
+        import collections
+        import enum
+
+        class Id(str):
+            pass
+
+        class Two(enum.IntEnum):
+            TWO = 2
+
+        doc = self.document("edges", collections.OrderedDict(
+            id=Id("e1"), tail="v0", tip="v1", thickness=Two.TWO))
+        doc["vertices"][1] = collections.OrderedDict(id=Id("v1"), genus=Two.TWO)
+        _, data = parse_input_document(doc)
+        assert data.graph.thickness("e1") == 2 and data.graph.genus("v1") == 2
+
+
+# Strings of the characters that json.dumps escapes, writes as \u
+# escapes or as pairs of them, and strings of any code points, lone
+# surrogates included; integers of up to several hundred digits.
+_STRINGS = st.one_of(
+    st.text(st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "a",
+                             "\u00e9", "\u20ac", "\u2028", "\U0001f600", "\U0010ffff",
+                             "\ud800", "\udfff"]), max_size=8),
+    st.text(st.characters(exclude_categories=()), max_size=8))
+_INTS = st.one_of(st.integers(-3, 3), st.integers(-(10 ** 400), 10 ** 400))
+
+
+@st.composite
+def report_documents(draw):
+    """Report documents shaped as report_document writes them (the
+    banana's, with every leaf drawn again); the multidegree is left out
+    or keyed by the drawn vertex ids."""
+    name, data = parse_input_document(BANANA_DOC)
+    shape = report_document(name, data, analyze(data))
+
+    def leaf(value):
+        if isinstance(value, dict):
+            return {k: leaf(v) for k, v in value.items()}
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            return [leaf(value[0]) for _ in range(draw(st.integers(0, 4)))]
+        if isinstance(value, list):
+            return draw(st.lists(_INTS, max_size=4))
+        if isinstance(value, str):
+            return draw(_STRINGS)
+        if value is None or isinstance(value, bool):
+            return draw(st.sampled_from([True, False, None]))
+        return draw(_INTS)
+
+    doc = leaf(shape)
+    given = doc["input"]
+    del given["multidegree"]
+    if draw(st.booleans()):
+        given["multidegree"] = {v["id"]: draw(_INTS) for v in given["vertices"]}
+    return doc
+
+
+class TestMachineText:
+    """The machine report writer against json.dumps at indent 2."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(report_documents())
+    def test_equals_json_dumps(self, doc):
+        assert _machine_text(doc) == json.dumps(doc, indent=2)
+
+    def test_edge_cases(self):
+        name, data = parse_input_document(dict(BANANA_DOC, name='a"\\\x01\u00e9\U0001f600'))
+        doc = report_document(name, data, analyze(data))
+        cases = [doc]
+        for change in (
+            {"vertices": [], "edges": []},
+            {"edges": []},
+            {"name": "", "r": 10 ** 500, "m1": -(10 ** 300)},
+        ):
+            cases.append(dict(doc, input=dict(doc["input"], **change)))
+        no_multidegree = dict(doc["input"])
+        del no_multidegree["multidegree"]
+        cases.append(dict(doc, input=no_multidegree))
+        cases.append(dict(doc, report=dict(doc["report"], phi=[], phi_r=[],
+                                            torsor_neron_finite=None,
+                                            group_neron_finite=None)))
+        for case in cases:
+            assert _machine_text(case) == json.dumps(case, indent=2)
 
 
 class TestTable:

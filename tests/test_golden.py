@@ -73,6 +73,14 @@ def test_every_case_has_a_golden():
     assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(n for n, _ in CASES)
 
 
+@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_golden_is_canonical_json(golden):
+    # The pinned bytes are what json.dumps writes at indent 2, whatever
+    # writes the reports.
+    text = (GOLDEN / golden).read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 @pytest.mark.parametrize("golden,text", CASES, ids=[n for n, _ in CASES])
 def test_report_byte_identical(tmp_path, golden, text):
     assert machine_report(tmp_path, text) == (GOLDEN / golden).read_text()

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -201,6 +202,23 @@ class TestEnumerateCircuits:
     def test_agrees_with_naive_dfs_exhaustively(self, small_family):
         for g in small_family:
             assert enumerate_circuits(g) == naive_circuits(g)
+
+    def test_each_circuit_is_closed_once(self, monkeypatch):
+        # On the complete graph K7 every circuit has two edges or more,
+        # so each would be walked in both directions; only one is closed,
+        # and one edge set is built per circuit.
+        import builtins
+
+        import nerongraph.graph
+
+        built = []
+        monkeypatch.setattr(nerongraph.graph, "frozenset",
+                            lambda items: built.append(1) or builtins.frozenset(items),
+                            raising=False)
+        k7 = MultiGraph(range(7), [(i, u, v) for i, (u, v) in
+                                    enumerate(itertools.combinations(range(7), 2))])
+        circuits = enumerate_circuits(k7)
+        assert len(circuits) == 1172 and len(built) == 1172
 
     def test_long_cycle_without_recursion(self):
         from nerongraph.enumeration import brute_force_c

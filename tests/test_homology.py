@@ -33,6 +33,7 @@ from helpers import (
     determinant,
     determinantal_divisors,
     loop_graph,
+    main_diagonal,
     path_graph,
     random_connected_multigraph,
     scrambled,
@@ -385,7 +386,7 @@ class TestSmithDiagonal:
         assert homology._smith_diagonal(m) == expected
         assert homology._smith_diagonal(-m) == expected
         assert expected == invariant_factors(m)
-        assert homology._eliminate(m)[1].diagonal() == expected
+        assert main_diagonal(homology._eliminate(m)[1]) == expected
 
     def test_empty_and_zero(self):
         assert homology._smith_diagonal(IntMatrix([], cols=3)) == ()
@@ -410,7 +411,7 @@ class TestSmithDiagonal:
         for m in matrices + unit:
             del fallbacks[:]
             diagonal = homology._smith_diagonal(m)
-            assert diagonal == homology._eliminate(m)[1].diagonal()
+            assert diagonal == main_diagonal(homology._eliminate(m)[1])
             if m in unit:
                 assert fallbacks and fallbacks[0] > 0
 
