@@ -10,13 +10,14 @@ composite) positive integer q.  The graph matrices
 are filled straight from the edge endpoints.
 
 Two loops compute the Smith form.  :func:`smith_normal_form` runs the
-diagonal-only one at once: it clears each pivot's column by Euclid and
-its row modulo the pivot, skips the divisibility step and puts the
-diagonal in divisibility order at the end by pairwise gcd and lcm.  The
-invariant factors (and so the component group) need nothing more.  The
-elimination with the transforms tracked runs on the first read of U, D
-or V, which only the solvers modulo q need.  The memo holds whatever has
-been computed for each matrix.
+diagonal-only one at once: it clears each pivot's column by Euclid,
+which changes a row below only at the nonzero columns of the pivot
+row, and the pivot's row modulo the pivot, skips the divisibility
+step and puts the diagonal in divisibility order at the end by pairwise
+gcd and lcm.  The invariant factors (and so the component group) need
+nothing more.  The elimination with the transforms tracked runs on the
+first read of U, D or V, which only the solvers modulo q need.  The
+memo holds whatever has been computed for each matrix.
 
 Everything is computed with Python's arbitrary-precision integers; no
 floating point is used anywhere.  Smith reduction of integer Laplacians
@@ -161,9 +162,13 @@ def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     or else the smallest nonzero absolute value, and moves it to (t, t).
     Euclid clears column t: every row below is reduced by floor division
     and the row with the smallest remainder becomes row t, until the
-    pivot is alone in the column.  Row t is then reduced modulo the
-    pivot, which changes no other row; a remainder moves the column of
-    the smallest one to column t, and the step goes on.  The entries so
+    pivot is alone in the column.  Each round lists the nonzero entries
+    of row t right of the pivot, its support, once, and subtracts from a
+    row below only there, so a sparse pivot row costs little whatever
+    the width; the support is listed again after every swap, since the
+    new row t has its own.  Row t is then reduced modulo the pivot,
+    which changes no other row; a remainder moves the column of the
+    smallest one to column t, and the step goes on.  The entries so
     found are not yet in divisibility order; pairwise gcd and lcm, which
     keep the exponents of every prime as a multiset, sort them into the
     Smith diagonal, which is unique.
@@ -193,15 +198,18 @@ def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
             while True:
                 prow = d[t]
                 pivot = prow[t]
-                tail = prow[t:]
+                support = [(k, y) for k, y in enumerate(prow[t + 1:], t + 1) if y]
                 low, k = abs(pivot), None
                 for i in range(t + 1, rows):
                     row = d[i]
-                    if row[t]:
-                        f = row[t] // pivot
-                        row[t:] = [x - f * y for x, y in zip(row[t:], tail)]
-                        if row[t] and abs(row[t]) < low:
-                            low, k = abs(row[t]), i
+                    x = row[t]
+                    if x:
+                        f = x // pivot
+                        row[t] = x = x - f * pivot
+                        for c, y in support:
+                            row[c] -= f * y
+                        if x and abs(x) < low:
+                            low, k = abs(x), i
                 if k is None:
                     break
                 d[t], d[k] = d[k], d[t]

@@ -85,8 +85,8 @@ from .homology import cycle_pairing_matrix, kirchhoff_matrix, smith_normal_form
 #: Largest dimension of the presentation of Phi that :func:`analyze`
 #: Smith-reduces.  Random unit-thickness graphs with E = 2V, whose
 #: presentation is the (V - 1)-dimensional Kirchhoff matrix, took
-#: 3.7-5.1 s at dimension 400 on a 2-core x86-64 host, and their Smith
-#: diagonal alone 3.9-4.6 s at 420.  Thick edges make the entries, and
+#: 1.7-3.0 s at dimension 400 on a 2-core x86-64 host, and their Smith
+#: diagonal alone 3.0-4.4 s at 420.  Thick edges make the entries, and
 #: the time, grow further.
 MAX_PRESENTATION_DIMENSION = 400
 

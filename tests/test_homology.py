@@ -369,6 +369,21 @@ def _unit_graph(rng: random.Random, n: int) -> MultiGraph:
     return MultiGraph(range(n), [(i, u, v) for i, (u, v) in enumerate(pairs)])
 
 
+@st.composite
+def sparse_matrices(draw):
+    """0-9 rows and columns, each entry 0 with probability 0.7 and else
+    a unit, a small non-unit or the 71-bit 2**70 + 1; rectangular and
+    singular matrices come up on their own."""
+    rows = draw(st.integers(0, 9))
+    cols = draw(st.integers(0, 9))
+    nonzero = st.sampled_from((1, -1, 2, -2, 3, -3, 6, -35, 2**70 + 1))
+    entries = [
+        [draw(nonzero) if draw(st.integers(0, 9)) >= 7 else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    return IntMatrix(entries, cols=cols)
+
+
 class TestSmithDiagonal:
     """The diagonal-only loop, whose entries are put in divisibility
     order at the end by pairwise gcd and lcm, against the elimination
@@ -392,6 +407,23 @@ class TestSmithDiagonal:
         assert homology._smith_diagonal(IntMatrix([], cols=3)) == ()
         assert homology._smith_diagonal(IntMatrix([[], []])) == ()
         assert homology._smith_diagonal(zeros(2, 3)) == (0, 0)
+
+    @given(sparse_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_matrices(self, m):
+        diagonal = homology._smith_diagonal(m)
+        assert diagonal == main_diagonal(homology._eliminate(m)[1])
+        if min(m.rows, m.cols) <= 4:
+            assert diagonal == invariant_factors(m)
+
+    def test_support_follows_the_pivot_row(self):
+        # No entry is +-1, so the pivot is the 2 alone in the first row.
+        # Euclid leaves 1 in every row below and swaps in the first of
+        # them, which is dense: the next round must subtract multiples
+        # of its entries, not of the old pivot row's (none).
+        m = IntMatrix([[2, 0, 0, 0], [3, 5, 7, 4], [5, 4, 9, 6], [7, 8, 3, 10]])
+        assert invariant_factors(m) == (1, 1, 2, 176)
+        assert homology._smith_diagonal(m) == (1, 1, 2, 176)
 
     def test_graph_matrices_against_the_transforms(self, monkeypatch):
         # Kirchhoff and Gram matrices of random thick graphs, and the
