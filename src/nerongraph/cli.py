@@ -191,20 +191,15 @@ def normalized_document(name: str, data: ReductionData) -> dict:
         "name": name,
         "r": data.r,
         "m1": data.m1,
-        "vertices": [{"id": v, "genus": g.genus(v)} for v in g.vertices],
+        "vertices": [{"id": v, "genus": x} for v, x in zip(g.vertices, g.genera)],
         "edges": [
-            {
-                "id": e.id,
-                "tail": e.tail,
-                "tip": e.tip,
-                "thickness": g.thickness(e.id),
-                "stabilizer": g.stabilizer(e.id),
-            }
-            for e in g.edges
+            {"id": e.id, "tail": e.tail, "tip": e.tip, "thickness": eta,
+             "stabilizer": stabilizer}
+            for e, eta, stabilizer in zip(g.edges, g.thicknesses, g.stabilizers)
         ],
     }
     if data.multidegree is not None:
-        doc["multidegree"] = {v: data.multidegree[v] for v in g.vertices}
+        doc["multidegree"] = dict(data.multidegree)  # in vertex order
     return doc
 
 

@@ -99,14 +99,7 @@ def spanning_tree_count(g: MultiGraph) -> int:
     :class:`BoundsTooLarge` past :data:`MAX_TREE_COUNT_EDGES` non-loop
     edges.
     """
-    edges = tuple(
-        sorted(
-            (min(g.vertex_index(e.tail), g.vertex_index(e.tip)),
-             max(g.vertex_index(e.tail), g.vertex_index(e.tip)))
-            for e in g.edges
-            if not e.is_loop
-        )
-    )
+    edges = tuple(sorted((min(u, v), max(u, v)) for u, v in g.endpoints if u != v))
     if len(edges) > MAX_TREE_COUNT_EDGES:
         raise BoundsTooLarge(
             f"spanning_tree_count takes at most {MAX_TREE_COUNT_EDGES} "

@@ -5,10 +5,19 @@ irreducible component (carrying a geometric genus), one edge per node
 (carrying a thickness and a stabilizer order).  Loops and parallel edges
 are allowed; every graph is required to be connected.
 
-The analysis reads everything from one breadth-first spanning tree,
-the bridges and the maximal chains, whose total thicknesses decide
-whether the minimal regular model is r-divided; it builds the
-fundamental cycle basis only when it reduces the basis's pairing.
+A :class:`MultiGraph` checks its input and builds, once, the index
+tables that every algorithm here and in the sibling modules reads: the
+``(tail index, tip index)`` of each edge, the thicknesses and
+stabilizers by edge index, the genera by vertex index, and the
+breadth-first spanning tree from the least vertex, which is also its
+connectivity check (:func:`spanning_tree` returns it).  The
+algorithms work on indices; ids appear only in the accessors, the
+id-keyed mappings and the error messages.
+
+The analysis reads everything from that tree, the bridges and the
+maximal chains, whose total thicknesses decide whether the minimal
+regular model is r-divided; it builds the fundamental cycle basis only
+when it reduces the basis's pairing.
 
 A *circuit* is a closed walk along oriented edges whose interior vertices
 are pairwise distinct; a loop alone is a circuit of length 1 and a pair of
@@ -30,8 +39,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import (
     DanglingEndpoint,
@@ -71,7 +81,9 @@ class MultiGraph:
     vertices:
         Vertex identifiers, in the order that fixes all matrix rows.
         Identifiers must be unique and mutually comparable (all ints or
-        all strings) so that "the least vertex" is well defined.
+        all strings) so that "the least vertex" is well defined; ids
+        that cannot be compared raise :class:`TypeError` here, when the
+        spanning tree is grown from the least vertex.
     edges:
         ``(id, tail, tip)`` triples, in the order that fixes all matrix
         columns.  ``tail == tip`` gives a loop.
@@ -83,6 +95,13 @@ class MultiGraph:
     edge_stabilizer:
         Order of the cyclic stabilizer at the node of a twisted curve;
         missing entries default to 1.
+
+    The constructor builds, in one pass over the edges, the index tables
+    that the algorithms read, each once: ``endpoints``, the ``(tail
+    index, tip index)`` of every edge; ``thicknesses`` and
+    ``stabilizers`` by edge index; ``genera`` by vertex index; and the
+    breadth-first tree that :func:`spanning_tree` returns.  The id-keyed
+    mappings and accessors read these tables.
     """
 
     __slots__ = (
@@ -90,9 +109,11 @@ class MultiGraph:
         "_edges",
         "_vindex",
         "_eindex",
-        "_genus",
-        "_thickness",
-        "_stabilizer",
+        "endpoints",
+        "genera",
+        "thicknesses",
+        "stabilizers",
+        "_tree",
         "_adjacency",
         "_loops_at",
         "__weakref__",
@@ -115,59 +136,74 @@ class MultiGraph:
                 raise DuplicateId(f"duplicate vertex id {shown(repr(v))}")
             vindex[v] = len(vindex)
         eindex: dict[EdgeId, int] = {}
-        for e in es:
-            if e.id in eindex:
-                raise DuplicateId(f"duplicate edge id {shown(repr(e.id))}")
-            eindex[e.id] = len(eindex)
-            for endpoint in (e.tail, e.tip):
-                if endpoint not in vindex:
-                    raise DanglingEndpoint(
-                        f"edge {shown(repr(e.id))} refers to unknown vertex "
-                        f"{shown(repr(endpoint))}"
-                    )
-        if not vs:
-            raise Disconnected("a graph needs at least one vertex")
-
-        def decorated(
-            given: Mapping | None, keys: Sequence, index: Mapping, default: int,
-            least: int, what: str,
-        ) -> dict:
-            table = {k: default for k in keys}
-            for k, value in (given or {}).items():
-                if k not in index:
-                    raise DanglingEndpoint(f"{what} for unknown id {shown(repr(k))}")
-                if not isinstance(value, int) or isinstance(value, bool) or value < least:
-                    raise ValueError(
-                        f"{what} of {shown(repr(k))} must be an integer >= {least}"
-                    )
-                table[k] = value
-            return table
-
-        self._vertices = vs
-        self._edges = es
-        self._vindex = vindex
-        self._eindex = eindex
-        self._genus = decorated(vertex_genus, vs, vindex, 0, 0, "genus")
-        self._thickness = decorated(edge_thickness, [e.id for e in es], eindex, 1, 1, "thickness")
-        self._stabilizer = decorated(edge_stabilizer, [e.id for e in es], eindex, 1, 1, "stabilizer")
-
+        endpoints = []
         # adjacency[u] lists (edge index, other endpoint index) for non-loop
         # edges, in edge input order; loops are kept separately.
         adjacency: list[list[tuple[int, int]]] = [[] for _ in vs]
         loops_at: list[list[int]] = [[] for _ in vs]
         for i, e in enumerate(es):
-            ti, hi = vindex[e.tail], vindex[e.tip]
+            if e.id in eindex:
+                raise DuplicateId(f"duplicate edge id {shown(repr(e.id))}")
+            eindex[e.id] = i
+            ti, hi = vindex.get(e.tail), vindex.get(e.tip)
+            if ti is None or hi is None:
+                raise DanglingEndpoint(
+                    f"edge {shown(repr(e.id))} refers to unknown vertex "
+                    f"{shown(repr(e.tail if ti is None else e.tip))}"
+                )
+            endpoints.append((ti, hi))
             if ti == hi:
                 loops_at[ti].append(i)
             else:
                 adjacency[ti].append((i, hi))
                 adjacency[hi].append((i, ti))
-        self._adjacency = tuple(tuple(a) for a in adjacency)
-        self._loops_at = tuple(tuple(l) for l in loops_at)
+        if not vs:
+            raise Disconnected("a graph needs at least one vertex")
 
-        seen = self._reachable_from(0, skip_edge=None)
-        if len(seen) != len(vs):
-            missing = [v for v in vs if vindex[v] not in seen]
+        def decorated(
+            given: Mapping | None, index: Mapping, default: int, least: int, what: str,
+        ) -> tuple[int, ...]:
+            table = [default] * len(index)
+            for k, value in (given or {}).items():
+                i = index.get(k)
+                if i is None:
+                    raise DanglingEndpoint(f"{what} for unknown id {shown(repr(k))}")
+                if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                    raise ValueError(
+                        f"{what} of {shown(repr(k))} must be an integer >= {least}"
+                    )
+                table[i] = value
+            return tuple(table)
+
+        self._vertices = vs
+        self._edges = es
+        self._vindex = vindex
+        self._eindex = eindex
+        self.endpoints = tuple(endpoints)
+        self.genera = decorated(vertex_genus, vindex, 0, 0, "genus")
+        self.thicknesses = decorated(edge_thickness, eindex, 1, 1, "thickness")
+        self.stabilizers = decorated(edge_stabilizer, eindex, 1, 1, "stabilizer")
+        self._adjacency = adjacency
+        self._loops_at = loops_at
+
+        # The breadth-first tree from the least vertex, edges scanned in
+        # input order: (parent index, edge index) per non-root vertex
+        # index, parents first.
+        root = vindex[min(vs)]
+        tree: dict[int, tuple[int, int]] = {}
+        seen = [False] * len(vs)
+        seen[root] = True
+        queue = [root]
+        for u in queue:  # the loop reaches the vertices appended to it
+            for ei, w in adjacency[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    tree[w] = (u, ei)
+                    queue.append(w)
+        self._tree = tree
+        if len(queue) < len(vs):
+            reached = self._reachable_from(0, skip_edge=None)
+            missing = [v for i, v in enumerate(vs) if i not in reached]
             first = ", ".join(shown(repr(v)) for v in missing[:_SHOWN_UNREACHABLE])
             more = ", ..." if len(missing) > _SHOWN_UNREACHABLE else ""
             raise Disconnected(
@@ -195,15 +231,15 @@ class MultiGraph:
 
     @property
     def vertex_genus(self) -> Mapping[VertexId, int]:
-        return MappingProxyType(self._genus)
+        return MappingProxyType(dict(zip(self._vertices, self.genera)))
 
     @property
     def edge_thickness(self) -> Mapping[EdgeId, int]:
-        return MappingProxyType(self._thickness)
+        return MappingProxyType(dict(zip(self._eindex, self.thicknesses)))
 
     @property
     def edge_stabilizer(self) -> Mapping[EdgeId, int]:
-        return MappingProxyType(self._stabilizer)
+        return MappingProxyType(dict(zip(self._eindex, self.stabilizers)))
 
     def vertex_index(self, v: VertexId) -> int:
         return self._vindex[v]
@@ -218,15 +254,13 @@ class MultiGraph:
         return self._edges[self.edge_index(e)]
 
     def genus(self, v: VertexId) -> int:
-        return self._genus[v]
+        return self.genera[self._vindex[v]]
 
     def thickness(self, e: EdgeId) -> int:
-        self.edge_index(e)
-        return self._thickness[e]
+        return self.thicknesses[self.edge_index(e)]
 
     def stabilizer(self, e: EdgeId) -> int:
-        self.edge_index(e)
-        return self._stabilizer[e]
+        return self.stabilizers[self.edge_index(e)]
 
     def degree(self, v: VertexId) -> int:
         """Number of edge ends at ``v``; a loop contributes 2."""
@@ -261,18 +295,15 @@ def betti1(g: MultiGraph) -> int:
 def total_genus(g: MultiGraph) -> int:
     """Arithmetic genus of the configuration: sum of the vertex genera
     plus the first Betti number of the graph."""
-    return sum(g.vertex_genus.values()) + betti1(g)
+    return sum(g.genera) + betti1(g)
 
 
 def is_nonseparating(g: MultiGraph, e: EdgeId) -> bool:
     """True when deleting the edge (keeping its endpoints) leaves the
     graph connected.  Loops are always nonseparating."""
     i = g.edge_index(e)
-    edge = g.edges[i]
-    if edge.is_loop:
-        return True
-    reachable = g._reachable_from(g.vertex_index(edge.tail), skip_edge=i)
-    return g.vertex_index(edge.tip) in reachable
+    tail, tip = g.endpoints[i]
+    return tail == tip or tip in g._reachable_from(tail, skip_edge=i)
 
 
 def bridges(g: MultiGraph) -> frozenset[int]:
@@ -347,7 +378,7 @@ def enumerate_circuits(
         for ei in loops:
             add([(ei, 1)])
 
-    edges, vindex, adjacency = g.edges, g._vindex, g._adjacency
+    endpoints, adjacency = g.endpoints, g._adjacency
     for s in range(g.n_vertices):
         # Vertex-simple paths from s through vertices > s, closing at s,
         # walked depth first with an explicit stack so that a long cycle
@@ -365,10 +396,10 @@ def enumerate_circuits(
                 if ei in used_edges:
                     continue
                 if w == s and path and path[0][0] < ei:
-                    direction = 1 if vindex[edges[ei].tail] == u else -1
+                    direction = 1 if endpoints[ei][0] == u else -1
                     add([(j, d) for j, d, _ in path] + [(ei, direction)])
                 elif w > s and w not in on_path:
-                    direction = 1 if vindex[edges[ei].tail] == u else -1
+                    direction = 1 if endpoints[ei][0] == u else -1
                     path.append((ei, direction, w))
                     used_edges.add(ei)
                     on_path.add(w)
@@ -384,63 +415,48 @@ def enumerate_circuits(
     return [found[key] for key in sorted(found, key=sorted)]
 
 
-def spanning_tree(g: MultiGraph) -> dict[int, tuple[int, int]]:
+def spanning_tree(g: MultiGraph) -> Mapping[int, tuple[int, int]]:
     """Breadth-first spanning tree from the least vertex, with edges
-    scanned in input order.
+    scanned in input order; the graph builds it once, when it checks
+    that it is connected, and this returns a read-only view of it.
 
-    Returns, for every non-root vertex index, its ``(parent vertex
-    index, connecting edge index)``; the connecting edges are the tree
-    edges, and the table lists the vertices in breadth-first order, so
-    every vertex comes after its parent.
+    It maps every non-root vertex index to its ``(parent vertex index,
+    connecting edge index)``; the connecting edges are the tree edges,
+    and the table lists the vertices in breadth-first order, so every
+    vertex comes after its parent and ``reversed`` lists children first.
     """
-    root = g.vertex_index(g.least_vertex())
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for ei, w in g._adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = (u, ei)
-                queue.append(w)
-    return parent
+    return MappingProxyType(g._tree)
 
 
-def fundamental_cycle_basis(
-    g: MultiGraph, parent: Mapping[int, tuple[int, int]] | None = None,
-) -> list[dict[int, int]]:
-    """One cycle per non-tree edge of :func:`spanning_tree` (its table
-    ``parent``, built when not given), as a sparse signed edge vector
-    ``{edge index: +1 or -1}``.
+def fundamental_cycle_basis(g: MultiGraph) -> list[dict[int, int]]:
+    """One cycle per non-tree edge of the graph's :func:`spanning_tree`,
+    as a sparse signed edge vector ``{edge index: +1 or -1}``.
 
     The cycle of a non-tree edge runs along it from tail to tip, then
     through the tree back to the tail; a loop alone is a cycle.  The
     vectors form an integral basis of the kernel of the boundary map,
     so there are exactly ``betti1(g)`` of them.
     """
-    if parent is None:
-        parent = spanning_tree(g)
-    depth = {g.vertex_index(g.least_vertex()): 0}
+    parent = g._tree
+    depth = [0] * g.n_vertices
     for child, (up, _) in parent.items():  # parents come first
         depth[child] = depth[up] + 1
     tree = {ei for _, ei in parent.values()}
-    vindex, edges = g._vindex, g.edges
+    endpoints = g.endpoints
     basis = []
-    for i, e in enumerate(edges):
+    for i, (tail, head) in enumerate(endpoints):
         if i in tree:
             continue
         cycle = {i: 1}
         # Climb from both ends to their common ancestor: the tip side is
         # walked upwards, the tail side downwards.
-        head, tail = vindex[e.tip], vindex[e.tail]
         while head != tail:
             if depth[head] >= depth[tail]:
                 head, ei = parent[head]
-                cycle[ei] = 1 if vindex[edges[ei].tip] == head else -1
+                cycle[ei] = 1 if endpoints[ei][1] == head else -1
             else:
                 tail, ei = parent[tail]
-                cycle[ei] = 1 if vindex[edges[ei].tail] == tail else -1
+                cycle[ei] = 1 if endpoints[ei][0] == tail else -1
         basis.append(cycle)
     return basis
 
@@ -453,7 +469,9 @@ def maximal_chains(g: MultiGraph) -> list[list[int]]:
     giving a closed chain); when no such branch vertex exists the whole
     graph is a single cycle and counts as one chain.
     """
-    branch = [i for i, v in enumerate(g.vertices) if g.degree(v) != 2]
+    adjacency, loops_at = g._adjacency, g._loops_at
+    branch = [i for i, (a, loops) in enumerate(zip(adjacency, loops_at))
+              if len(a) + 2 * len(loops) != 2]
     if not branch:
         # Connected with all degrees 2: a single cycle (a lone loop and a
         # pair of parallel edges are the degenerate cases).
@@ -462,10 +480,10 @@ def maximal_chains(g: MultiGraph) -> list[list[int]]:
     visited: set[int] = set()
     branch_set = set(branch)
     for b in branch:
-        for ei in g._loops_at[b]:
+        for ei in loops_at[b]:
             visited.add(ei)
             chains.append([ei])
-        for ei, w in g._adjacency[b]:
+        for ei, w in adjacency[b]:
             if ei in visited:
                 continue
             visited.add(ei)
@@ -473,7 +491,7 @@ def maximal_chains(g: MultiGraph) -> list[list[int]]:
             cur = w
             while cur not in branch_set:
                 prev_edge, cur = next(
-                    (j, x) for j, x in g._adjacency[cur] if j != chain[-1]
+                    (j, x) for j, x in adjacency[cur] if j != chain[-1]
                 )
                 visited.add(prev_edge)
                 chain.append(prev_edge)
@@ -494,10 +512,9 @@ def is_r_divided(g: MultiGraph, r: int) -> bool:
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
-    thickness = g.edge_thickness
+    thickness = g.thicknesses
     return all(
-        sum(thickness[g.edges[ei].id] for ei in chain) % r == 0
-        for chain in maximal_chains(g)
+        sum(thickness[ei] for ei in chain) % r == 0 for chain in maximal_chains(g)
     )
 
 
@@ -514,21 +531,13 @@ def thickness_subdivision(g: MultiGraph) -> MultiGraph:
 
     Returns the graph itself when every thickness is 1.
     """
-    if all(t == 1 for t in g.edge_thickness.values()):
+    if all(t == 1 for t in g.thicknesses):
         return g
-    vertices: list[int] = list(range(g.n_vertices))
-    genus = {i: g.genus(v) for i, v in enumerate(g.vertices)}
+    n = g.n_vertices
     edges: list[tuple[int, int, int]] = []
-    next_vertex = g.n_vertices
-    for e in g.edges:
-        eta = g.thickness(e.id)
-        chain = [g.vertex_index(e.tail)]
-        for _ in range(eta - 1):
-            vertices.append(next_vertex)
-            genus[next_vertex] = 0
-            chain.append(next_vertex)
-            next_vertex += 1
-        chain.append(g.vertex_index(e.tip))
+    for (u, v), eta in zip(g.endpoints, g.thicknesses):
+        chain = [u, *range(n, n + eta - 1), v]
+        n += eta - 1
         for a, b in itertools.pairwise(chain):
             edges.append((len(edges), a, b))
-    return MultiGraph(vertices, edges, vertex_genus=genus)
+    return MultiGraph(range(n), edges, vertex_genus=dict(enumerate(g.genera)))

@@ -6,8 +6,10 @@ the thickness-weighted cycle pairing, which both present the component
 group of the thickness subdivision without building it, Smith normal
 form over the integers with unimodular transforms, and
 solvability/kernels of linear systems modulo an arbitrary (possibly
-composite) positive integer q.  The graph matrices
-are filled straight from the edge endpoints.
+composite) positive integer q.  The graph matrices are filled straight
+from the index tables that the graph builds once: the ``(tail index,
+tip index)`` of every edge in ``MultiGraph.endpoints`` and the
+thicknesses by edge index in ``MultiGraph.thicknesses``.
 
 Two loops compute the Smith form.  :func:`smith_normal_form` runs the
 diagonal-only one at once: it clears each pivot's column by Euclid,
@@ -367,12 +369,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 # -- graph matrices --------------------------------------------------------
 
 
-def _endpoints(g: MultiGraph) -> list[tuple[int, int]]:
-    """(tail index, tip index) of every edge, in edge order."""
-    vindex = g.vertex_index
-    return [(vindex(e.tail), vindex(e.tip)) for e in g.edges]
-
-
 def boundary_matrix(g: MultiGraph) -> IntMatrix:
     """The boundary map from 1-chains to 0-chains.
 
@@ -381,7 +377,7 @@ def boundary_matrix(g: MultiGraph) -> IntMatrix:
     for a loop.
     """
     rows = [[0] * g.n_edges for _ in range(g.n_vertices)]
-    for j, (tail, tip) in enumerate(_endpoints(g)):
+    for j, (tail, tip) in enumerate(g.endpoints):
         if tail != tip:
             rows[tip][j] = 1
             rows[tail][j] = -1
@@ -394,7 +390,7 @@ def coboundary_matrix(g: MultiGraph) -> IntMatrix:
     With the canonical identification of chains and cochains this is the
     transpose of the boundary matrix."""
     rows = []
-    for tail, tip in _endpoints(g):
+    for tail, tip in g.endpoints:
         row = [0] * g.n_vertices
         if tail != tip:
             row[tip] = 1
@@ -413,7 +409,7 @@ def intersection_matrix(g: MultiGraph) -> IntMatrix:
     its image lattice.
     """
     m = [[0] * g.n_vertices for _ in range(g.n_vertices)]
-    for u, v in _endpoints(g):
+    for u, v in g.endpoints:
         if u != v:
             m[u][u] -= 1
             m[v][v] -= 1
@@ -445,15 +441,15 @@ def kirchhoff_matrix(g: MultiGraph) -> IntMatrix:
     ``n_vertices - 1 + #thick edges`` does not grow with the
     thicknesses.
     """
-    thickness = g.edge_thickness
-    thick = [j for j, e in enumerate(g.edges) if thickness[e.id] > 1]
+    thickness = g.thicknesses
+    thick = [j for j, eta in enumerate(thickness) if eta > 1]
     n = g.n_vertices - 1 + len(thick)
     m = [[0] * (n + 1) for _ in range(n + 1)]  # row and column 0: vertex 0
     generator = dict(zip(thick, range(g.n_vertices, n + 1)))
-    for j, (u, v) in enumerate(_endpoints(g)):
+    for j, (u, v) in enumerate(g.endpoints):
         x = generator.get(j)
         if x is not None:
-            m[x][x] = thickness[g.edges[j].id]
+            m[x][x] = thickness[j]
             if u != v:
                 m[x][u] = m[u][x] = 1
                 m[x][v] = m[v][x] = -1
@@ -478,9 +474,9 @@ def cycle_pairing_matrix(
         for ei, sign in cycle.items():
             through.setdefault(ei, []).append((i, sign))
     gram = [[0] * len(cycles) for _ in cycles]
-    thickness = g.edge_thickness
+    thickness = g.thicknesses
     for ei, members in through.items():
-        eta = thickness[g.edges[ei].id]
+        eta = thickness[ei]
         for i, si in members:
             row = gram[i]
             for j, sj in members:

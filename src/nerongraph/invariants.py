@@ -23,8 +23,10 @@ given graph with the pairing weighted by thickness,
 
 on a fundamental cycle basis gamma_1, ..., gamma_b1 (Grothendieck's
 monodromy pairing, SGA 7 IX), so everything is read off the given graph:
-one breadth-first spanning tree, one scan for its bridges and one Smith
-reduction.  The cost follows the size of the graph, not its thicknesses.
+the breadth-first spanning tree and the index tables (endpoints and
+thicknesses by edge index) that the graph built once, one scan for its
+bridges and one Smith reduction.  The cost follows the size of the
+graph, not its thicknesses.
 
 * Phi is the cokernel of G, and also of the sparse grounded Kirchhoff
   matrix of the regular model (:func:`~nerongraph.homology.kirchhoff_matrix`).
@@ -111,9 +113,9 @@ class ReductionData:
         if not isinstance(self.m1, int) or isinstance(self.m1, bool) or self.m1 < 1:
             raise InvalidReductionData("m1 must be a positive integer")
         if self.multidegree is not None:
-            md = dict(self.multidegree)
-            for v, d in md.items():
-                if v not in self.graph.vertex_genus:
+            md = dict.fromkeys(self.graph.vertices, 0)  # in vertex order
+            for v, d in self.multidegree.items():
+                if v not in md:
                     raise InvalidReductionData(
                         f"multidegree names unknown vertex {shown(repr(v))}"
                     )
@@ -121,8 +123,7 @@ class ReductionData:
                     raise InvalidReductionData(
                         f"multidegree of {shown(repr(v))} must be an integer"
                     )
-            for v in self.graph.vertices:
-                md.setdefault(v, 0)
+                md[v] = d
             if sum(md.values()) % self.r != 0:
                 raise InvalidReductionData(
                     "the total degree of the multidegree must be a multiple of r"
@@ -132,7 +133,7 @@ class ReductionData:
     def multidegree_vector(self) -> tuple[int, ...]:
         if self.multidegree is None:
             raise MissingMultidegree("this operation needs a multidegree")
-        return tuple(self.multidegree[v] for v in self.graph.vertices)
+        return tuple(self.multidegree.values())
 
 
 @dataclass(frozen=True)
@@ -156,17 +157,16 @@ class AnalysisReport:
     torsion_count_generic: int
 
 
-def _phi_and_c(
-    g: MultiGraph, parent: Mapping[int, tuple[int, int]] | None = None,
-) -> tuple[AbelianGroup, int]:
+def _phi_and_c(g: MultiGraph) -> tuple[AbelianGroup, int]:
     """Phi and c from one Smith reduction: of the Kirchhoff matrix when
     its dimension ``n_vertices - 1 + #thick edges`` is below b1, and
-    otherwise of G on the cycle basis that ``parent``, the table of
-    :func:`spanning_tree`, closes up.  Raises :class:`BoundsTooLarge`
-    from the counts alone, before anything is built, when the smaller
-    dimension is past :data:`MAX_PRESENTATION_DIMENSION`."""
+    otherwise of G on the cycle basis that the graph's
+    :func:`~nerongraph.graph.spanning_tree` closes up.  Raises
+    :class:`BoundsTooLarge` from the counts alone, before anything is
+    built, when the smaller dimension is past
+    :data:`MAX_PRESENTATION_DIMENSION`."""
     b1 = betti1(g)
-    kirchhoff = g.n_vertices - 1 + sum(t > 1 for t in g.edge_thickness.values())
+    kirchhoff = g.n_vertices - 1 + sum(t > 1 for t in g.thicknesses)
     dimension = min(kirchhoff, b1)
     if dimension > MAX_PRESENTATION_DIMENSION:
         raise BoundsTooLarge(
@@ -177,18 +177,17 @@ def _phi_and_c(
     if kirchhoff < b1:
         a = kirchhoff_matrix(g)
     else:
-        a = cycle_pairing_matrix(g, fundamental_cycle_basis(g, parent))
+        a = cycle_pairing_matrix(g, fundamental_cycle_basis(g))
     phi = AbelianGroup(tuple(n for n in smith_normal_form(a).diagonal if n > 1))
     factors = phi.invariant_factors  # c: see the module docstring
     return phi, factors[0] if b1 and len(factors) == b1 else min(b1, 1)
 
 
-def _degree_below(
-    parent: Mapping[int, tuple[int, int]], degrees: Sequence[int],
-) -> dict[int, int]:
-    """For each tree edge index of ``parent``, the total of ``degrees``
-    (listed in vertex order) over the vertices on the far side of the
-    edge from the root."""
+def _degree_below(g: MultiGraph, degrees: Sequence[int]) -> dict[int, int]:
+    """For each tree edge index of the graph's spanning tree, the total
+    of ``degrees`` (listed in vertex order) over the vertices on the far
+    side of the edge from the root."""
+    parent = spanning_tree(g)
     below = list(degrees)
     out = {}
     for child in reversed(parent):  # children before parents
@@ -198,32 +197,27 @@ def _degree_below(
     return out
 
 
-def _torsor_finite(
-    g: MultiGraph, parent: Mapping[int, tuple[int, int]], below: Mapping[int, int],
-    c: int, r: int,
-) -> bool:
+def _torsor_finite(g: MultiGraph, below: Mapping[int, int], c: int, r: int) -> bool:
     """The torsor verdict from c and the degrees ``below`` the tree
-    edges of ``parent``: r | c, and w = 0 modulo r, where w at the cycle
-    of a non-tree edge is the potential at its tail minus that at its
-    tip.  A vertex's potential sums thickness(e) * below(e) down the
-    tree from the root, with no sign: a tree edge's orientation enters
-    both the flow and the cycle, and the two cancel."""
+    edges: r | c, and w = 0 modulo r, where w at the cycle of a non-tree
+    edge is the potential at its tail minus that at its tip.  A vertex's
+    potential sums thickness(e) * below(e) down the tree from the root,
+    with no sign: a tree edge's orientation enters both the flow and the
+    cycle, and the two cancel."""
     if c % r:
         return False
-    edges, thickness = g.edges, g.edge_thickness
+    thickness = g.thicknesses
     potential = [0] * g.n_vertices
-    for child, (up, ei) in parent.items():  # parents come first
-        potential[child] = potential[up] + thickness[edges[ei].id] * below[ei]
-    vindex = g.vertex_index
+    for child, (up, ei) in spanning_tree(g).items():  # parents come first
+        potential[child] = potential[up] + thickness[ei] * below[ei]
     return all(
-        (potential[vindex(e.tail)] - potential[vindex(e.tip)]) % r == 0
-        for ei, e in enumerate(edges) if ei not in below  # the non-tree edges
+        (potential[tail] - potential[tip]) % r == 0
+        for ei, (tail, tip) in enumerate(g.endpoints) if ei not in below  # non-tree
     )
 
 
 def _t(g: MultiGraph, separating: frozenset[int]) -> int:
-    thickness = g.edge_thickness
-    return reduce(gcd, (thickness[e.id] for ei, e in enumerate(g.edges)
+    return reduce(gcd, (eta for ei, eta in enumerate(g.thicknesses)
                         if ei not in separating), 0)
 
 
@@ -293,8 +287,8 @@ def _twisted_roots(
     # on one side, and the test does not depend on the side because the
     # total degree is a multiple of r.
     return all(
-        g.stabilizer(e.id) * (below[ei] if ei in separating else 1) % r == 0
-        for ei, e in enumerate(g.edges)
+        stabilizer * (below[ei] if ei in separating else 1) % r == 0
+        for ei, stabilizer in enumerate(g.stabilizers)
     )
 
 
@@ -309,7 +303,7 @@ def twisted_roots_finite(d: ReductionData) -> bool:
     if d.multidegree is None:
         raise MissingMultidegree("the separating-node test needs a multidegree")
     g = d.graph
-    below = _degree_below(spanning_tree(g), d.multidegree_vector())
+    below = _degree_below(g, d.multidegree_vector())
     return _twisted_roots(g, bridges(g), below, d.r)
 
 
@@ -327,10 +321,10 @@ def torsion_count_twisted(g: MultiGraph, r: int) -> int:
     curve times r^b1 classes of gluing data (the kernel of the boundary
     map mod r).
     """
-    for e in g.edges:
-        if g.stabilizer(e.id) != r:
+    for e, stabilizer in zip(g.edges, g.stabilizers):
+        if stabilizer != r:
             raise StabilizerMismatch(
-                f"edge {shown(repr(e.id))} has stabilizer {g.stabilizer(e.id)}, "
+                f"edge {shown(repr(e.id))} has stabilizer {stabilizer}, "
                 f"expected {r}"
             )
     return r ** (2 * total_genus(g))
@@ -349,10 +343,8 @@ def torsor_neron_finite(d: ReductionData) -> bool:
     if d.multidegree is None:
         raise MissingMultidegree("the torsor criterion needs a multidegree")
     g = d.graph
-    parent = spanning_tree(g)
-    c = _phi_and_c(g, parent)[1]
-    below = _degree_below(parent, d.multidegree_vector())
-    return _torsor_finite(g, parent, below, c, d.r)
+    below = _degree_below(g, d.multidegree_vector())
+    return _torsor_finite(g, below, _phi_and_c(g)[1], d.r)
 
 
 def analyze(d: ReductionData) -> AnalysisReport:
@@ -371,12 +363,11 @@ def analyze(d: ReductionData) -> AnalysisReport:
     if d.m1 != 1:
         raise SemistabilityRequired("analysis reports are defined for m1 = 1")
     g, r = d.graph, d.r
-    parent = spanning_tree(g)
-    phi, c = _phi_and_c(g, parent)
+    phi, c = _phi_and_c(g)
     separating = bridges(g)
     t = _t(g, separating)
     below = (None if d.multidegree is None
-             else _degree_below(parent, d.multidegree_vector()))
+             else _degree_below(g, d.multidegree_vector()))
     genus = total_genus(g)
     return AnalysisReport(
         b1=betti1(g),
@@ -390,7 +381,7 @@ def analyze(d: ReductionData) -> AnalysisReport:
         m3=r // gcd(r, t),
         group_neron_finite=c % r == 0,
         torsor_neron_finite=(
-            None if below is None else _torsor_finite(g, parent, below, c, r)
+            None if below is None else _torsor_finite(g, below, c, r)
         ),
         r_divided=is_r_divided(g, r),
         twisted_roots_finite=(

@@ -4,9 +4,11 @@ The oracles here deliberately avoid the code paths they are used to
 check: circuits are enumerated by a blunt depth-first search over edge
 traversals, membership modulo q by exhaustive search over (Z/q)^cols,
 the component group once more through the quotient-of-images
-presentation via stacked Smith reductions, and c, the support and the
+presentation via stacked Smith reductions, c, the support and the
 torsor pairing w through the cycles of a fundamental basis
-(:class:`CyclePairing`), which the analysis no longer builds.  The code that
+(:class:`CyclePairing`), which the analysis no longer builds, and the
+breadth-first spanning tree grown from the ids (:func:`bfs_tree`), which
+the graph builds once from its index tables.  The code that
 only the tests need lives here too: zero matrices, the main diagonal,
 the Bareiss determinant that checks Smith transforms are unimodular,
 the seeded random graph generator, the divisibility chain
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from functools import reduce
 from math import gcd
 from typing import Sequence
@@ -201,6 +204,31 @@ def scrambled(rng: random.Random, g: MultiGraph) -> MultiGraph:
 # -- oracles ----------------------------------------------------------------
 
 
+def bfs_tree(g: MultiGraph) -> dict[int, tuple[int, int]]:
+    """The breadth-first spanning tree from the least vertex, edges
+    scanned in input order, grown here from the ids: ``(parent vertex
+    index, edge index)`` for every non-root vertex index, in the order
+    the search reaches them."""
+    root = g.vertex_index(g.least_vertex())
+    neighbours: dict[int, list[tuple[int, int]]] = {}
+    for ei, e in enumerate(g.edges):
+        if not e.is_loop:
+            u, w = g.vertex_index(e.tail), g.vertex_index(e.tip)
+            neighbours.setdefault(u, []).append((ei, w))
+            neighbours.setdefault(w, []).append((ei, u))
+    parent: dict[int, tuple[int, int]] = {}
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for ei, w in neighbours.get(u, []):
+            if w not in seen:
+                seen.add(w)
+                parent[w] = (u, ei)
+                queue.append(w)
+    return parent
+
+
 class CyclePairing:
     """The thickness-weighted pairing on a fundamental cycle basis.
 
@@ -215,7 +243,7 @@ class CyclePairing:
 
     def __init__(self, g: MultiGraph) -> None:
         parent = spanning_tree(g)
-        cycles = tuple(fundamental_cycle_basis(g, parent))
+        cycles = tuple(fundamental_cycle_basis(g))
         through: dict[int, list[tuple[int, int]]] = {}
         for i, cycle in enumerate(cycles):
             for ei, sign in cycle.items():

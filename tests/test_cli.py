@@ -115,6 +115,19 @@ class TestAnalyze:
         assert main(["analyze", write(tmp_path, doc)]) == 2
         assert "not connected" in capsys.readouterr().err
 
+    def test_disconnected_names_the_vertices_unreachable_from_the_first(
+            self, tmp_path, capsys):
+        # The least vertex "a" roots the spanning tree, but the message
+        # counts from the first vertex listed, "b".
+        doc = {
+            "r": 2,
+            "vertices": [{"id": "b"}, {"id": "a"}, {"id": "c"}],
+            "edges": [{"id": "e", "tail": "b", "tip": "c"}],
+        }
+        assert main(["analyze", write(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            "error: graph is not connected; 1 unreachable vertices: 'a'\n")
+
     def test_bad_thickness_field(self, tmp_path, capsys):
         doc = {
             "name": "bad",

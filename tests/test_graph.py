@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerongraph import (
     DanglingEndpoint,
@@ -21,11 +23,12 @@ from nerongraph import (
     total_genus,
 )
 from nerongraph.fixtures import fixture
-from nerongraph.graph import bridges
+from nerongraph.graph import bridges, spanning_tree
 
 from helpers import (
     banana,
     barbell,
+    bfs_tree,
     cycle_graph,
     loop_graph,
     naive_circuits,
@@ -56,6 +59,12 @@ class TestBuildGraph:
         with pytest.raises(DanglingEndpoint):
             MultiGraph(["a"], [("e", "a", "zzz")])
 
+    def test_incomparable_vertex_ids_rejected_when_built(self):
+        # The spanning tree grows from the least vertex, which ints and
+        # strings together do not have.
+        with pytest.raises(TypeError):
+            MultiGraph([0, "a"], [("e", 0, "a")])
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DuplicateId):
             MultiGraph(["a", "a"], [])
@@ -74,6 +83,63 @@ class TestBuildGraph:
         g = barbell()
         assert g.degree("v0") == 3
         assert loop_graph().degree("v0") == 2
+
+
+@st.composite
+def decorated_graphs(draw):
+    """A random connected multigraph (loops and parallel edges allowed)
+    with int or string ids, given as ``(vertices, edges, genus,
+    thickness, stabilizer)``.  String ids ``v0, v1, ...`` sort as text,
+    so "v10" < "v2"; the vertex order is shuffled, with the least vertex
+    moved off position 0, and edges are reversed at random.  Each
+    decoration names a random subset of the ids."""
+    n = draw(st.integers(2, 13))
+    name = draw(st.sampled_from((lambda k: k, lambda k: f"v{k}")))
+    vertices = [name(k) for k in draw(st.permutations(range(n)))]
+    if vertices[0] == min(vertices):
+        vertices.append(vertices.pop(0))
+    pairs = [(vertices[draw(st.integers(0, k - 1))], vertices[k]) for k in range(1, n)]
+    pairs = draw(st.permutations(pairs)) + draw(st.lists(
+        st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)), max_size=6))
+    edges = [(f"e{i}", *(pair[::-1] if draw(st.booleans()) else pair))
+             for i, pair in enumerate(pairs)]
+    ids = [e[0] for e in edges]
+
+    def decoration(keys, least):
+        chosen = draw(st.lists(st.sampled_from(keys), unique=True))
+        return {k: draw(st.integers(least, least + 9)) for k in chosen}
+
+    return vertices, edges, decoration(vertices, 0), decoration(ids, 1), decoration(ids, 1)
+
+
+class TestStoredTables:
+    """The tables the constructor builds once, against the ids."""
+
+    @given(decorated_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_tables_match_the_ids(self, drawn):
+        vertices, edges, genus, thickness, stabilizer = drawn
+        g = MultiGraph(vertices, edges, genus, thickness, stabilizer)
+        assert g.vertex_index(g.least_vertex()) != 0
+        tree = spanning_tree(g)
+        assert list(tree.items()) == list(bfs_tree(g).items())
+        assert len(tree) == g.n_vertices - 1
+        assert list(reversed(tree)) == list(tree)[::-1]
+        assert g.endpoints == tuple(
+            (vertices.index(tail), vertices.index(tip)) for _, tail, tip in edges)
+        ids = [e[0] for e in edges]
+        assert dict(g.vertex_genus) == {v: genus.get(v, 0) for v in vertices}
+        assert dict(g.edge_thickness) == {e: thickness.get(e, 1) for e in ids}
+        assert dict(g.edge_stabilizer) == {e: stabilizer.get(e, 1) for e in ids}
+        assert list(g.vertex_genus) == vertices and list(g.edge_thickness) == ids
+        assert g.genera == tuple(g.genus(v) for v in vertices)
+        assert g.thicknesses == tuple(g.thickness(e) for e in ids)
+        assert g.stabilizers == tuple(g.stabilizer(e) for e in ids)
+
+    def test_string_ids_root_at_the_least_id(self):
+        # "v10" < "v2" < "v9": the tree grows from v10, the second vertex.
+        g = MultiGraph(["v2", "v10", "v9"], [("a", "v2", "v9"), ("b", "v9", "v10")])
+        assert dict(spanning_tree(g)) == {2: (1, 1), 0: (2, 0)}
 
 
 class TestBetti:

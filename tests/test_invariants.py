@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import random
 import sys
 import time
@@ -39,7 +40,12 @@ from nerongraph import (
 from nerongraph.enumeration import brute_force_c
 from nerongraph.fixtures import fixture
 from nerongraph.graph import bridges, fundamental_cycle_basis, maximal_chains
-from nerongraph.homology import IntMatrix, cycle_pairing_matrix, kirchhoff_matrix
+from nerongraph.homology import (
+    IntMatrix,
+    cycle_pairing_matrix,
+    intersection_matrix,
+    kirchhoff_matrix,
+)
 from nerongraph.invariants import MAX_PRESENTATION_DIMENSION
 
 from helpers import (
@@ -399,6 +405,33 @@ def thick_reduction_data(draw, divided=None):
     return ReductionData(graph=g, r=r, multidegree=dict(enumerate(degrees)))
 
 
+@st.composite
+def divided_principal_data(draw):
+    """Reduction data whose verdicts are finite by construction: a random
+    multigraph (loops and parallel edges allowed) with every edge
+    replaced by a path of r >= 3 unit edges, so that every pair of
+    circuits shares a multiple of r edges, and the multidegree M x of a
+    random integer potential x, which lies in the image of the
+    intersection matrix M.  Edges are reversed at random and the vertex
+    order is shuffled, so the spanning tree's edges point both ways; r
+    is at least 3 because a sign error is invisible modulo 2."""
+    n = draw(st.integers(1, 5))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs += draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=5))
+    r = draw(st.integers(3, 6))
+    count, edges = n, []
+    for u, v in pairs:
+        chain = [u, *range(count, count + r - 1), v]
+        count += r - 1
+        for a, b in itertools.pairwise(chain):
+            edges.append((len(edges), *((b, a) if draw(st.booleans()) else (a, b))))
+    g = MultiGraph(draw(st.permutations(range(count))), edges)
+    x = [draw(st.integers(-3, 3)) for _ in range(count)]
+    degrees = intersection_matrix(g).apply(x)
+    return ReductionData(graph=g, r=r, multidegree=dict(zip(g.vertices, degrees)))
+
+
 def _report_fields(d):
     report = analyze(d)
     return {key: getattr(report, key) for key in regular_model_report(d)}
@@ -487,6 +520,13 @@ class TestTreeRoutesWithReversedEdges:
                 outcomes.add(report.torsor_neron_finite)
         assert outcomes == {True, False}
         assert loops > 500
+
+    @given(divided_principal_data())
+    @settings(max_examples=300, deadline=None, database=None)
+    def test_principal_multidegree_on_divided_graph_is_finite(self, d):
+        report = analyze(d)
+        assert report.r_divided and report.group_neron_finite
+        assert report.torsor_neron_finite
 
 
 class TestManyParallelEdges:
