@@ -16,12 +16,10 @@ from math import gcd, prod
 from .errors import BoundsTooLarge, MalformedSpectrum
 from .graph import MultiGraph, betti1
 from .homology import (
+    SmithDecomposition,
     boundary_matrix,
-    coboundary_matrix,
     intersection_matrix,
-    kernel_generators_mod,
     smith_normal_form,
-    subgroup_contained_mod,
 )
 
 
@@ -155,12 +153,26 @@ def phi_r_torsion(g: MultiGraph, r: int) -> AbelianGroup:
     return phi_group(g).torsion(r)
 
 
+def is_full_torsion(torsion: AbelianGroup, b1: int, r: int) -> bool:
+    """Whether the r-torsion subgroup ``torsion`` of Phi is (Z/r)^b1:
+    exactly b1 invariant factors, all equal to r (none when r = 1)."""
+    return torsion.invariant_factors == ((r,) * b1 if r > 1 else ())
+
+
 def is_full_r_torsion(g: MultiGraph, r: int) -> bool:
     """Whether Phi[r] is isomorphic to (Z/r)^b1, i.e. has exactly b1
     invariant factors all equal to r.  This is the finiteness condition
     for the Neron model of the r-torsion of the Picard scheme."""
-    expected = AbelianGroup((r,) * betti1(g)) if r > 1 else AbelianGroup()
-    return phi_r_torsion(g, r) == expected
+    return is_full_torsion(phi_r_torsion(g, r), betti1(g), r)
+
+
+def cycles_are_coboundaries(
+    boundary: SmithDecomposition, coboundary: SmithDecomposition, q: int
+) -> bool:
+    """Whether ker(boundary mod q) lies in im(coboundary mod q), given the
+    Smith decompositions of the two maps.  For a graph the coboundary is
+    ``boundary.transposed()``, so one elimination serves both maps."""
+    return coboundary.contains_mod(boundary.kernel_mod(q), q)
 
 
 def homological_criterion(g: MultiGraph, q: int) -> bool:
@@ -170,6 +182,5 @@ def homological_criterion(g: MultiGraph, q: int) -> bool:
     equivalent both to q dividing every signed circuit intersection and
     to Phi[q] being all of (Z/q)^b1.
     """
-    gens = kernel_generators_mod(boundary_matrix(g), q)
-    return subgroup_contained_mod(gens, coboundary_matrix(g), q)
-
+    boundary = smith_normal_form(boundary_matrix(g))
+    return cycles_are_coboundaries(boundary, boundary.transposed(), q)

@@ -15,7 +15,11 @@ image of the coboundary map, and the q-torsion of the component group is
 all of (Z/q)^b1 -- plus the agreement of the circuit invariant read
 off the component group with the brute-force gcd over all pairs of
 circuits, taken as signed edge vectors (:func:`brute_force_c`).  Any
-disagreement is reported as a counterexample.
+disagreement is reported as a counterexample.  Each graph's linear
+algebra is done once and serves every q: its boundary matrix and that
+matrix's Smith decomposition, whose one elimination also solves the
+coboundary (its transpose), Phi and b1.  Per q only the kernel columns
+are reduced modulo q and solved, and Phi[q] is taken.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ from functools import reduce
 from math import gcd
 from typing import Iterator, Sequence
 
-from .component_group import homological_criterion, is_full_r_torsion
+from .component_group import cycles_are_coboundaries, is_full_torsion, phi_group
 from .errors import BoundsTooLarge
-from .graph import MultiGraph, enumerate_circuits, signed_common_edges
+from .graph import MultiGraph, betti1, enumerate_circuits, signed_common_edges
+from .homology import boundary_matrix, smith_normal_form
 from .invariants import circuit_invariant_c
 
 MAX_ENUMERATION_EDGES = 7
@@ -153,6 +158,26 @@ def brute_force_c(g: MultiGraph) -> int:
     ), 0)
 
 
+def _faces(g: MultiGraph, max_q: int) -> list[tuple[bool, bool]]:
+    """(homology face, torsion face) of the criterion for q = 1..max_q.
+
+    The boundary matrix, its one Smith decomposition and the transpose
+    of it, which solves the coboundary, Phi and b1 are computed once and
+    serve every q; each q only reduces the kernel columns modulo q,
+    solves, and takes Phi[q].
+    """
+    boundary = smith_normal_form(boundary_matrix(g))
+    coboundary = boundary.transposed()
+    phi, b1 = phi_group(g), betti1(g)
+    return [
+        (
+            cycles_are_coboundaries(boundary, coboundary, q),
+            is_full_torsion(phi.torsion(q), b1, q),
+        )
+        for q in range(1, max_q + 1)
+    ]
+
+
 def verify_equivalence(max_edges: int = 6, max_q: int = 6) -> EquivalenceReport:
     """Check the three-way criterion agreement exhaustively.
 
@@ -185,10 +210,8 @@ def verify_equivalence(max_edges: int = 6, max_q: int = 6) -> EquivalenceReport:
             report.counterexamples.append(
                 f"{g!r} {g.edges}: c from Phi = {c_phi}, brute-force c = {c_brute}"
             )
-        for q in range(1, max_q + 1):
+        for q, (by_homology, by_torsion) in enumerate(_faces(g, max_q), 1):
             by_circuits = c_brute % q == 0
-            by_homology = homological_criterion(g, q)
-            by_torsion = is_full_r_torsion(g, q)
             report.checks += 1
             if not (by_circuits == by_homology == by_torsion):
                 report.counterexamples.append(

@@ -6,7 +6,11 @@ the thickness-weighted cycle pairing, which both present the component
 group of the thickness subdivision without building it, Smith normal
 form over the integers with unimodular transforms, and
 solvability/kernels of linear systems modulo an arbitrary (possibly
-composite) positive integer q.  The graph matrices are filled straight
+composite) positive integer q, which are methods of the decomposition
+(``solve_mod``, ``kernel_mod``, ``contains_mod``); the functions
+:func:`solve_mod`, :func:`kernel_generators_mod` and
+:func:`subgroup_contained_mod` call them on the memoised decomposition
+of their matrix.  The graph matrices are filled straight
 from the index tables that the graph builds once: the ``(tail index,
 tip index)`` of every edge in ``MultiGraph.endpoints`` and the
 thicknesses by edge index in ``MultiGraph.thicknesses``.
@@ -20,6 +24,10 @@ gcd and lcm.  The invariant factors (and so the component group) need
 nothing more.  The elimination with the transforms tracked runs on the
 first read of U, D or V, which only the solvers modulo q need.  The
 memo holds whatever has been computed for each matrix.
+``SmithDecomposition.transposed()`` gives the decomposition of the
+transpose from the same U, D and V (V^T A^T U^T = D^T), with no second
+elimination: the coboundary matrix of a graph is the transpose of its
+boundary matrix, so one elimination of the boundary serves both.
 
 Everything is computed with Python's arbitrary-precision integers; no
 floating point is used anywhere.  Smith reduction of integer Laplacians
@@ -96,9 +104,8 @@ class IntMatrix:
         return [list(row) for row in self._data]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            (self.column(j) for j in range(self.cols)), cols=self.rows
-        )
+        data = tuple(zip(*self._data)) if self._data else ((),) * self.cols
+        return IntMatrix._trusted(data, self.rows)
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix((tuple(-x for x in row) for row in self._data), cols=self.cols)
@@ -313,26 +320,38 @@ def _eliminate(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 class SmithDecomposition:
-    """Unimodular U, V and diagonal D with U A V = D, for the A given.
+    """Unimodular U, V and diagonal D with U A V = D, for the A given,
+    and the solvers modulo q that read them.
 
     The diagonal entries are nonnegative, each divides the next, and
     zeros trail.  The diagonal is computed at once, by the
     diagonal-only loop; U, D and V are computed together, by the
     elimination with transforms, on the first read of any of them and
-    kept.
+    kept.  :meth:`transposed` is the decomposition of A transposed,
+    read off this one's transforms with no elimination of its own; it
+    is not memoised, so a caller that solves through it for several q
+    keeps it.  :meth:`solve_mod`, :meth:`kernel_mod` and
+    :meth:`contains_mod` solve systems in A modulo q; the columns of V
+    that can span a kernel are listed on the first call of
+    :meth:`kernel_mod` and kept, so each further modulus only reduces
+    them.
     """
 
-    __slots__ = ("_a", "_udv", "_diagonal")
+    __slots__ = ("_a", "_diagonal", "_udv", "_source", "_kernel")
 
     def __init__(self, a: IntMatrix) -> None:
         self._a = a
-        self._udv = None
         self._diagonal = _smith_diagonal(a)
+        self._udv = self._source = self._kernel = None
 
     def _transforms(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+        # Threads that race here compute equal values; either may win.
         if self._udv is None:
-            # Threads that race here compute equal values; either may win.
-            self._udv = _eliminate(self._a)
+            if self._source is None:
+                self._udv = _eliminate(self._a)
+            else:
+                u, d, v = self._source._transforms()
+                self._udv = (v.transpose(), d.transpose(), u.transpose())
         return self._udv
 
     @property
@@ -350,6 +369,83 @@ class SmithDecomposition:
     @property
     def v(self) -> IntMatrix:
         return self._transforms()[2]
+
+    def transposed(self) -> "SmithDecomposition":
+        """The decomposition of A transposed: U A V = D gives
+        (V^T) A^T (U^T) = D^T, with the same diagonal.  Its transforms are
+        read, on their first read, from this decomposition's, so no second
+        elimination runs."""
+        t = SmithDecomposition.__new__(SmithDecomposition)
+        t._a = self._a.transpose()
+        t._diagonal = self._diagonal
+        t._udv = t._kernel = None
+        t._source = self
+        return t
+
+    def solve_mod(self, b: Sequence[int], q: int) -> tuple[int, ...] | None:
+        """A solution x of A x = b (mod q), or None when there is none.
+
+        Diagonalising turns the system into independent congruences
+        d_i y_i = (U b)_i (mod q); kernels and images modulo a composite
+        q come out of the integer Smith form directly, with no
+        per-prime decomposition.  A solution is checked against the
+        system before it is returned; :class:`ArithmeticError` means the
+        decomposition was wrong.
+        """
+        _check_modulus(q)
+        a = self._a
+        if len(b) != a.rows:
+            raise DimensionMismatch(
+                f"matrix has {a.rows} rows, right-hand side has {len(b)} entries"
+            )
+        c = self.u.apply(b)
+        diag = self._diagonal
+        y = [0] * a.cols
+        for i in range(a.rows):
+            d_i = diag[i] if i < len(diag) else 0
+            rhs = c[i] % q
+            g = gcd(d_i, q)  # gcd(0, q) == q
+            if rhs % g != 0:
+                return None
+            if i < a.cols and d_i != 0:
+                qg = q // g
+                if qg > 1:
+                    y[i] = (rhs // g) * pow(d_i // g, -1, qg) % qg
+        x = tuple(value % q for value in self.v.apply(y))
+        if any((lhs - rhs) % q != 0 for lhs, rhs in zip(a.apply(x), b)):
+            raise ArithmeticError("solve_mod: the Smith form gave a non-solution")
+        return x
+
+    def kernel_mod(self, q: int) -> list[tuple[int, ...]]:
+        """Generators of {x : A x = 0 (mod q)} as a Z/qZ-module.
+
+        The kernel is V applied to the solutions of d_j y_j = 0 (mod q),
+        i.e. spanned by (q / gcd(d_j, q)) times the columns of V.  Columns
+        whose multiplier vanishes modulo q are dropped, so the generators
+        are nonzero and independent whenever the diagonal entries are 0
+        or 1 (the case of graph boundary maps).  The columns of V with
+        d_j != 1, the only ones any q keeps, are listed once; V is not
+        read when there are none.
+        """
+        _check_modulus(q)
+        if self._kernel is None:
+            diag = self._diagonal + (0,) * (self._a.cols - len(self._diagonal))
+            self._kernel = [
+                (d_j, self.v.column(j)) for j, d_j in enumerate(diag) if d_j != 1
+            ]
+        gens = []
+        for d_j, column in self._kernel:
+            multiplier = q // gcd(d_j, q)
+            if multiplier % q:
+                gens.append(tuple((multiplier * x) % q for x in column))
+        return gens
+
+    def contains_mod(self, gens: Iterable[Sequence[int]], q: int) -> bool:
+        """Whether every generator lies in the image of A modulo q, each
+        solved by :meth:`solve_mod`.  An empty generator list is vacuously
+        contained."""
+        _check_modulus(q)
+        return all(self.solve_mod(gen, q) is not None for gen in gens)
 
 
 @lru_cache(maxsize=None)
@@ -493,76 +589,20 @@ def _check_modulus(q: int) -> None:
 
 
 def solve_mod(a: IntMatrix, b: Sequence[int], q: int) -> tuple[int, ...] | None:
-    """A solution x of a x = b (mod q), or None when there is none.
-
-    Diagonalising with U a V = D turns the system into independent
-    congruences d_i y_i = (U b)_i (mod q); kernels and images modulo a
-    composite q come out of the integer Smith form directly, with no
-    per-prime decomposition.  A solution is checked against the system
-    before it is returned; :class:`ArithmeticError` means the Smith
-    decomposition was wrong.
-    """
-    _check_modulus(q)
-    if len(b) != a.rows:
-        raise DimensionMismatch(
-            f"matrix has {a.rows} rows, right-hand side has {len(b)} entries"
-        )
-    snf = smith_normal_form(a)
-    c = snf.u.apply(b)
-    diag = snf.diagonal
-    y = [0] * a.cols
-    for i in range(a.rows):
-        d_i = diag[i] if i < len(diag) else 0
-        rhs = c[i] % q
-        g = gcd(d_i, q)  # gcd(0, q) == q
-        if rhs % g != 0:
-            return None
-        if i < a.cols and d_i != 0:
-            qg = q // g
-            if qg > 1:
-                y[i] = (rhs // g) * pow(d_i // g, -1, qg) % qg
-    x = tuple(value % q for value in snf.v.apply(y))
-    if any((lhs - rhs) % q != 0 for lhs, rhs in zip(a.apply(x), b)):
-        raise ArithmeticError("solve_mod: the Smith form gave a non-solution")
-    return x
+    """A solution x of a x = b (mod q), or None; see
+    :meth:`SmithDecomposition.solve_mod`."""
+    return smith_normal_form(a).solve_mod(b, q)
 
 
 def kernel_generators_mod(a: IntMatrix, q: int) -> list[tuple[int, ...]]:
-    """Generators of {x : a x = 0 (mod q)} as a Z/qZ-module.
-
-    With U a V = D, the kernel is V applied to the solutions of
-    d_j y_j = 0 (mod q), i.e. spanned by (q / gcd(d_j, q)) times the
-    columns of V.  Columns whose multiplier vanishes modulo q are
-    dropped, so the generators are nonzero and independent whenever the
-    diagonal entries are 0 or 1 (the case of graph boundary maps).
-    """
-    _check_modulus(q)
-    snf = smith_normal_form(a)
-    diag = snf.diagonal
-    gens = []
-    for j in range(a.cols):
-        d_j = diag[j] if j < len(diag) else 0
-        multiplier = q // gcd(d_j, q)
-        if multiplier % q == 0:
-            continue
-        column = snf.v.column(j)
-        gens.append(tuple((multiplier * x) % q for x in column))
-    return gens
+    """Generators of {x : a x = 0 (mod q)}; see
+    :meth:`SmithDecomposition.kernel_mod`."""
+    return smith_normal_form(a).kernel_mod(q)
 
 
 def subgroup_contained_mod(
     gens_a: Iterable[Sequence[int]], b_matrix: IntMatrix, q: int
 ) -> bool:
-    """Whether every generator lies in the image of b_matrix modulo q.
-
-    An empty generator list is vacuously contained.
-    """
-    _check_modulus(q)
-    for gen in gens_a:
-        if len(gen) != b_matrix.rows:
-            raise DimensionMismatch(
-                f"generator of length {len(gen)} against {b_matrix.rows} rows"
-            )
-        if solve_mod(b_matrix, gen, q) is None:
-            return False
-    return True
+    """Whether every generator lies in the image of b_matrix modulo q; see
+    :meth:`SmithDecomposition.contains_mod`."""
+    return smith_normal_form(b_matrix).contains_mod(gens_a, q)

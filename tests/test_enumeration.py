@@ -3,11 +3,29 @@ import random
 
 import pytest
 
-from nerongraph import BoundsTooLarge, betti1
+from nerongraph import (
+    AbelianGroup,
+    BoundsTooLarge,
+    betti1,
+    boundary_matrix,
+    homological_criterion,
+    is_full_r_torsion,
+    phi_r_torsion,
+    smith_normal_form,
+)
+import nerongraph.enumeration as enumeration
+import nerongraph.homology as homology
 from nerongraph.enumeration import (
     _canonical_pairs,
+    _faces,
     connected_multigraphs,
     verify_equivalence,
+)
+from nerongraph.homology import (
+    SmithDecomposition,
+    coboundary_matrix,
+    kernel_generators_mod,
+    subgroup_contained_mod,
 )
 
 from helpers import random_connected_multigraph
@@ -163,3 +181,89 @@ def test_verify_bounds_guarded():
         verify_equivalence(max_edges=3, max_q=100)
     with pytest.raises(BoundsTooLarge):
         verify_equivalence(max_edges=0)
+
+
+def test_per_graph_faces_match_the_per_call_criteria():
+    # The verifier's faces come from one boundary decomposition, Phi and
+    # b1 per graph.  The homology face is held to the public criterion
+    # and to the route of two eliminations, the boundary's and that of
+    # the coboundary matrix built on its own; the torsion face to the
+    # public test and to |Phi[q]| = q^b1, the most Phi[q] can have.
+    for g in connected_multigraphs(5):
+        faces = _faces(g, 12)
+        assert len(faces) == 12
+        delta = coboundary_matrix(g)
+        for q, (by_homology, by_torsion) in enumerate(faces, 1):
+            gens = kernel_generators_mod(boundary_matrix(g), q)
+            assert by_homology == homological_criterion(g, q)
+            assert by_homology == subgroup_contained_mod(gens, delta, q)
+            assert by_torsion == is_full_r_torsion(g, q)
+            assert by_torsion == (phi_r_torsion(g, q).order == q ** betti1(g))
+
+
+def test_at_q_one_every_kernel_generator_drops_out():
+    for g in connected_multigraphs(5):
+        assert smith_normal_form(boundary_matrix(g)).kernel_mod(1) == []
+        assert _faces(g, 1) == [(True, True)]
+
+
+def _inject(monkeypatch, fault):
+    if fault == "c plus one":
+        inner_c = enumeration.brute_force_c
+        monkeypatch.setattr(enumeration, "brute_force_c", lambda g: inner_c(g) + 1)
+    elif fault == "torsion drops a factor":
+        inner_torsion = AbelianGroup.torsion
+        monkeypatch.setattr(
+            AbelianGroup, "torsion",
+            lambda self, r: AbelianGroup(inner_torsion(self, r).invariant_factors[1:]),
+        )
+    elif fault == "first solve fails":
+        first = []
+        inner_kernel, inner_solve = SmithDecomposition.kernel_mod, SmithDecomposition.solve_mod
+
+        def kernel_mod(self, q):
+            gens = inner_kernel(self, q)
+            first[:] = gens[:1]
+            return gens
+
+        def solve_mod(self, b, q):
+            if first and tuple(b) == first[0]:
+                first.clear()
+                return None
+            return inner_solve(self, b, q)
+
+        monkeypatch.setattr(SmithDecomposition, "kernel_mod", kernel_mod)
+        monkeypatch.setattr(SmithDecomposition, "solve_mod", solve_mod)
+
+
+@pytest.mark.parametrize(
+    "fault", [None, "c plus one", "torsion drops a factor", "first solve fails"]
+)
+def test_a_faulty_face_yields_counterexamples(monkeypatch, fault):
+    # The faces share per-graph work; a fault in one of them must still
+    # stand out against the other two, not cancel.
+    _inject(monkeypatch, fault)
+    report = verify_equivalence(max_edges=4, max_q=4)
+    assert report.ok == (fault is None)
+
+
+def test_one_elimination_per_graph(monkeypatch):
+    counts = []
+    inner_eliminate = homology._eliminate
+    inner_graphs = enumeration.connected_multigraphs
+
+    def eliminate(a):
+        counts[-1] += 1
+        return inner_eliminate(a)
+
+    def graphs(max_edges):
+        for g in inner_graphs(max_edges):
+            counts.append(0)
+            yield g
+
+    monkeypatch.setattr(homology, "_eliminate", eliminate)
+    monkeypatch.setattr(enumeration, "connected_multigraphs", graphs)
+    homology.smith_normal_form.cache_clear()
+    report = verify_equivalence(max_edges=5, max_q=6)
+    assert report.ok and len(counts) == report.total_graphs
+    assert max(counts) == 1
