@@ -7,20 +7,22 @@ components of the special fibre of the Neron model of the Jacobian, also
 known as the critical group or sandpile group in combinatorics.  Its
 order is the number of spanning trees, which gives an independent oracle
 via deletion-contraction.
+
+The homological criterion asks whether every cycle mod q is a coboundary
+mod q.  :func:`homology_modulus` answers it for every q at once: one
+elimination of the boundary matrix gives an integer h, checked in
+integers, and the criterion holds at q exactly when q divides h.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import mul
+from . import homology
 from .errors import BoundsTooLarge, MalformedSpectrum
 from .graph import MultiGraph, betti1
-from .homology import (
-    SmithDecomposition,
-    boundary_matrix,
-    intersection_matrix,
-    smith_normal_form,
-)
+from .homology import boundary_matrix, intersection_matrix, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -166,13 +168,59 @@ def is_full_r_torsion(g: MultiGraph, r: int) -> bool:
     return is_full_torsion(phi_r_torsion(g, r), betti1(g), r)
 
 
-def cycles_are_coboundaries(
-    boundary: SmithDecomposition, coboundary: SmithDecomposition, q: int
-) -> bool:
-    """Whether ker(boundary mod q) lies in im(coboundary mod q), given the
-    Smith decompositions of the two maps.  For a graph the coboundary is
-    ``boundary.transposed()``, so one elimination serves both maps."""
-    return coboundary.contains_mod(boundary.kernel_mod(q), q)
+def homology_modulus(g: MultiGraph) -> int:
+    """The integer h such that every cycle mod q is a coboundary mod q
+    exactly when q divides h; 0 when b1 = 0, so that every q passes.
+
+    One elimination U B V = D of the boundary matrix B answers every q.
+    D must be diag(1, ..., 1, 0, ...) with rho = |V| - 1 ones, as it is
+    for every connected graph; then the columns v_j of V with j >= rho
+    are a Z-basis of ker B, and V^T C U^T = D^T for the coboundary
+    C = B^T.  With w_j = V^T v_j, C x = v_j (mod q) is solvable exactly
+    when q divides every w_j[i] with i >= rho, and
+    z_j = U^T (w_j[0], ..., w_j[rho - 1], 0, ...) solves it for every
+    such q.  So h is the gcd of those entries, which are the pairings
+    v_i . v_j of the kernel basis: h is the circuit invariant c of the
+    graph as given, thicknesses ignored.
+
+    Each answer is checked in integers: B v_j = 0, and every entry of
+    C z_j - v_j is divisible by h (zero when h = 0), which covers every
+    q dividing h at once.  :class:`ArithmeticError` means the
+    decomposition was wrong.
+    """
+    u, d, v = homology._eliminate(boundary_matrix(g))
+    diagonal = [d[i, i] for i in range(min(d.rows, d.cols))]
+    rank = next((i for i, x in enumerate(diagonal) if x != 1), len(diagonal))
+    if rank != g.n_vertices - 1 or any(diagonal[rank:]):
+        raise ArithmeticError(
+            "homology_modulus: the boundary's Smith diagonal is not "
+            "|V| - 1 ones then zeros"
+        )
+    vt, ut = v.transpose(), u.transpose()
+    v_columns = [vt.row(j) for j in range(vt.rows)]
+    u_columns = [ut.row(k) for k in range(ut.rows)]
+    kernel = v_columns[rank:]
+    pairings = [[sum(map(mul, c, v_j)) for c in v_columns] for v_j in kernel]
+    h = 0
+    for w_j in pairings:
+        h = gcd(h, *w_j[rank:])
+    # B and C are applied from the edge endpoints, as boundary_matrix
+    # fills them: a loop's column of B is zero.
+    endpoints = g.endpoints
+    for v_j, w_j in zip(kernel, pairings):
+        y = w_j[:rank]
+        z_j = [sum(map(mul, c, y)) for c in u_columns]
+        cycle = [0] * g.n_vertices
+        for (tail, tip), x in zip(endpoints, v_j):
+            cycle[tip] += x
+            cycle[tail] -= x
+        residue = [z_j[tip] - z_j[tail] - x for (tail, tip), x in zip(endpoints, v_j)]
+        if any(cycle) or any(r % h if h else r for r in residue):
+            raise ArithmeticError(
+                "homology_modulus: the boundary's decomposition gave a "
+                "non-cycle or a non-solution"
+            )
+    return h
 
 
 def homological_criterion(g: MultiGraph, q: int) -> bool:
@@ -180,7 +228,7 @@ def homological_criterion(g: MultiGraph, q: int) -> bool:
 
     This is the graph-theoretic form of the finiteness criterion; it is
     equivalent both to q dividing every signed circuit intersection and
-    to Phi[q] being all of (Z/q)^b1.
+    to Phi[q] being all of (Z/q)^b1.  It reads :func:`homology_modulus`.
     """
-    boundary = smith_normal_form(boundary_matrix(g))
-    return cycles_are_coboundaries(boundary, boundary.transposed(), q)
+    homology._check_modulus(q)
+    return homology_modulus(g) % q == 0

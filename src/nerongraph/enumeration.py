@@ -16,10 +16,11 @@ all of (Z/q)^b1 -- plus the agreement of the circuit invariant read
 off the component group with the brute-force gcd over all pairs of
 circuits, taken as signed edge vectors (:func:`brute_force_c`).  Any
 disagreement is reported as a counterexample.  Each graph's linear
-algebra is done once and serves every q: its boundary matrix and that
-matrix's Smith decomposition, whose one elimination also solves the
-coboundary (its transpose), Phi and b1.  Per q only the kernel columns
-are reduced modulo q and solved, and Phi[q] is taken.
+algebra is done once and serves every q: one elimination of its
+boundary matrix gives the integer whose divisors are the q of the
+homology face (:func:`~nerongraph.component_group.homology_modulus`),
+and Phi and b1 are taken once.  Per q only a divisibility test and
+Phi[q] remain.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from functools import reduce
 from math import gcd
 from typing import Iterator, Sequence
 
-from .component_group import cycles_are_coboundaries, is_full_torsion, phi_group
+from .component_group import homology_modulus, is_full_torsion, phi_group
 from .errors import BoundsTooLarge
 from .graph import MultiGraph, betti1, enumerate_circuits, signed_common_edges
-from .homology import boundary_matrix, smith_normal_form
 from .invariants import circuit_invariant_c
 
 MAX_ENUMERATION_EDGES = 7
@@ -161,19 +161,15 @@ def brute_force_c(g: MultiGraph) -> int:
 def _faces(g: MultiGraph, max_q: int) -> list[tuple[bool, bool]]:
     """(homology face, torsion face) of the criterion for q = 1..max_q.
 
-    The boundary matrix, its one Smith decomposition and the transpose
-    of it, which solves the coboundary, Phi and b1 are computed once and
-    serve every q; each q only reduces the kernel columns modulo q,
-    solves, and takes Phi[q].
+    :func:`~nerongraph.component_group.homology_modulus`, Phi and b1 are
+    computed once and serve every q: the homology face at q is whether q
+    divides the modulus, the torsion face compares Phi[q] with
+    (Z/q)^b1.
     """
-    boundary = smith_normal_form(boundary_matrix(g))
-    coboundary = boundary.transposed()
+    h = homology_modulus(g)
     phi, b1 = phi_group(g), betti1(g)
     return [
-        (
-            cycles_are_coboundaries(boundary, coboundary, q),
-            is_full_torsion(phi.torsion(q), b1, q),
-        )
+        (h % q == 0, is_full_torsion(phi.torsion(q), b1, q))
         for q in range(1, max_q + 1)
     ]
 

@@ -21,13 +21,12 @@ which changes a row below only at the nonzero columns of the pivot
 row, and the pivot's row modulo the pivot, skips the divisibility
 step and puts the diagonal in divisibility order at the end by pairwise
 gcd and lcm.  The invariant factors (and so the component group) need
-nothing more.  The elimination with the transforms tracked runs on the
-first read of U, D or V, which only the solvers modulo q need.  The
-memo holds whatever has been computed for each matrix.
-``SmithDecomposition.transposed()`` gives the decomposition of the
-transpose from the same U, D and V (V^T A^T U^T = D^T), with no second
-elimination: the coboundary matrix of a graph is the transpose of its
-boundary matrix, so one elimination of the boundary serves both.
+nothing more.  The elimination with the transforms tracked,
+:func:`_eliminate`, runs on the first read of U, D or V, which only the
+solvers modulo q need.  The memo holds whatever has been computed for
+each matrix.  The verifier's homology face calls :func:`_eliminate` on
+the boundary matrix directly, outside the memo
+(:func:`~nerongraph.component_group.homology_modulus`).
 
 Everything is computed with Python's arbitrary-precision integers; no
 floating point is used anywhere.  Smith reduction of integer Laplacians
@@ -327,31 +326,21 @@ class SmithDecomposition:
     zeros trail.  The diagonal is computed at once, by the
     diagonal-only loop; U, D and V are computed together, by the
     elimination with transforms, on the first read of any of them and
-    kept.  :meth:`transposed` is the decomposition of A transposed,
-    read off this one's transforms with no elimination of its own; it
-    is not memoised, so a caller that solves through it for several q
-    keeps it.  :meth:`solve_mod`, :meth:`kernel_mod` and
-    :meth:`contains_mod` solve systems in A modulo q; the columns of V
-    that can span a kernel are listed on the first call of
-    :meth:`kernel_mod` and kept, so each further modulus only reduces
-    them.
+    kept.  :meth:`solve_mod`, :meth:`kernel_mod` and
+    :meth:`contains_mod` solve systems in A modulo q.
     """
 
-    __slots__ = ("_a", "_diagonal", "_udv", "_source", "_kernel")
+    __slots__ = ("_a", "_diagonal", "_udv")
 
     def __init__(self, a: IntMatrix) -> None:
         self._a = a
         self._diagonal = _smith_diagonal(a)
-        self._udv = self._source = self._kernel = None
+        self._udv = None
 
     def _transforms(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         # Threads that race here compute equal values; either may win.
         if self._udv is None:
-            if self._source is None:
-                self._udv = _eliminate(self._a)
-            else:
-                u, d, v = self._source._transforms()
-                self._udv = (v.transpose(), d.transpose(), u.transpose())
+            self._udv = _eliminate(self._a)
         return self._udv
 
     @property
@@ -369,18 +358,6 @@ class SmithDecomposition:
     @property
     def v(self) -> IntMatrix:
         return self._transforms()[2]
-
-    def transposed(self) -> "SmithDecomposition":
-        """The decomposition of A transposed: U A V = D gives
-        (V^T) A^T (U^T) = D^T, with the same diagonal.  Its transforms are
-        read, on their first read, from this decomposition's, so no second
-        elimination runs."""
-        t = SmithDecomposition.__new__(SmithDecomposition)
-        t._a = self._a.transpose()
-        t._diagonal = self._diagonal
-        t._udv = t._kernel = None
-        t._source = self
-        return t
 
     def solve_mod(self, b: Sequence[int], q: int) -> tuple[int, ...] | None:
         """A solution x of A x = b (mod q), or None when there is none.
@@ -423,21 +400,16 @@ class SmithDecomposition:
         i.e. spanned by (q / gcd(d_j, q)) times the columns of V.  Columns
         whose multiplier vanishes modulo q are dropped, so the generators
         are nonzero and independent whenever the diagonal entries are 0
-        or 1 (the case of graph boundary maps).  The columns of V with
-        d_j != 1, the only ones any q keeps, are listed once; V is not
-        read when there are none.
+        or 1 (the case of graph boundary maps).  V is not read when no
+        column is kept.
         """
         _check_modulus(q)
-        if self._kernel is None:
-            diag = self._diagonal + (0,) * (self._a.cols - len(self._diagonal))
-            self._kernel = [
-                (d_j, self.v.column(j)) for j, d_j in enumerate(diag) if d_j != 1
-            ]
+        diag = self._diagonal + (0,) * (self._a.cols - len(self._diagonal))
         gens = []
-        for d_j, column in self._kernel:
+        for j, d_j in enumerate(diag):
             multiplier = q // gcd(d_j, q)
             if multiplier % q:
-                gens.append(tuple((multiplier * x) % q for x in column))
+                gens.append(tuple((multiplier * x) % q for x in self.v.column(j)))
         return gens
 
     def contains_mod(self, gens: Iterable[Sequence[int]], q: int) -> bool:

@@ -597,7 +597,28 @@ grid                2  1   1   2   4
         assert "multiple of 4" in capsys.readouterr().err
 
 
+_COUNTS_BY_EDGES = (
+    "edges=0: 1 graph\n"
+    "edges=1: 2 graphs\n"
+    "edges=2: 4 graphs\n"
+    "edges=3: 11 graphs\n"
+    "edges=4: 30 graphs\n"
+    "edges=5: 95 graphs\n"
+)
+
+
 class TestVerifyLemma:
+    @pytest.mark.parametrize("max_edges,max_q,expected", [
+        (6, 6, _COUNTS_BY_EDGES + "edges=6: 328 graphs\n"
+         "checked 471 graphs x q <= 6: 2826 criterion triples, 0 counterexamples\n"),
+        (5, 12, _COUNTS_BY_EDGES
+         + "checked 143 graphs x q <= 12: 1716 criterion triples, 0 counterexamples\n"),
+    ], ids=["6-6", "5-12"])
+    def test_summary_byte_identical(self, capsys, max_edges, max_q, expected):
+        argv = ["verify-lemma", "--max-edges", str(max_edges), "--max-q", str(max_q)]
+        assert main(argv) == 0
+        assert capsys.readouterr() == (expected, "")
+
     def test_small_run(self, capsys):
         assert main(["verify-lemma", "--max-edges", "2", "--max-q", "2"]) == 0
         out = capsys.readouterr().out

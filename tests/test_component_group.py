@@ -15,8 +15,10 @@ from nerongraph import (
     solve_mod,
     spanning_tree_count,
 )
+import nerongraph.homology as homology
+from nerongraph.component_group import homology_modulus
 from nerongraph.fixtures import fixture
-from nerongraph.homology import IntMatrix, coboundary_matrix
+from nerongraph.homology import IntMatrix, boundary_matrix, coboundary_matrix
 
 from helpers import (
     NotACycle,
@@ -158,6 +160,41 @@ class TestHomologicalCriterion:
     def test_trees_always_pass(self):
         for q in (1, 2, 3, 5):
             assert homological_criterion(path_graph(3), q)
+
+
+class TestHomologyModulus:
+    def test_small_graphs(self):
+        assert homology_modulus(path_graph(3)) == 0
+        assert homology_modulus(loop_graph()) == 1
+        assert homology_modulus(banana()) == 2
+        assert homology_modulus(cycle_graph(4)) == 4
+        assert homology_modulus(theta(3)) == 1
+
+    @pytest.mark.parametrize("which", ["u", "d", "v"])
+    def test_a_corrupted_decomposition_raises(self, monkeypatch, which):
+        # On the 4-cycle (h = 4) one entry changed by one is caught in
+        # every place that can change the answer: each entry of V, each
+        # diagonal entry of D, and each entry of the rows of U that meet
+        # the ones of D.  The last row of U meets D's zero and no z_j
+        # reads it.
+        g = cycle_graph(4)
+        inner = homology._eliminate
+        udv = inner(boundary_matrix(g))
+        k = "udv".index(which)
+        m = udv[k]
+        if which == "d":
+            cells = [(i, i) for i in range(m.rows)]
+        else:
+            cells = [(i, j) for i in range(m.rows - (which == "u")) for j in range(m.cols)]
+        for i, j in cells:
+            rows = m.row_list()
+            rows[i][j] += 1
+            wrong = udv[:k] + (IntMatrix(rows),) + udv[k + 1:]
+            monkeypatch.setattr(homology, "_eliminate", lambda a, wrong=wrong: wrong)
+            with pytest.raises(ArithmeticError, match="homology_modulus"):
+                homology_modulus(g)
+        monkeypatch.setattr(homology, "_eliminate", inner)
+        assert homology_modulus(g) == 4
 
 
 class TestCoboundaryWitness:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -18,11 +19,12 @@ import nerongraph.homology as homology
 from nerongraph.enumeration import (
     _canonical_pairs,
     _faces,
+    brute_force_c,
     connected_multigraphs,
     verify_equivalence,
 )
+from nerongraph.component_group import homology_modulus
 from nerongraph.homology import (
-    SmithDecomposition,
     coboundary_matrix,
     kernel_generators_mod,
     subgroup_contained_mod,
@@ -217,27 +219,16 @@ def _inject(monkeypatch, fault):
             AbelianGroup, "torsion",
             lambda self, r: AbelianGroup(inner_torsion(self, r).invariant_factors[1:]),
         )
-    elif fault == "first solve fails":
-        first = []
-        inner_kernel, inner_solve = SmithDecomposition.kernel_mod, SmithDecomposition.solve_mod
-
-        def kernel_mod(self, q):
-            gens = inner_kernel(self, q)
-            first[:] = gens[:1]
-            return gens
-
-        def solve_mod(self, b, q):
-            if first and tuple(b) == first[0]:
-                first.clear()
-                return None
-            return inner_solve(self, b, q)
-
-        monkeypatch.setattr(SmithDecomposition, "kernel_mod", kernel_mod)
-        monkeypatch.setattr(SmithDecomposition, "solve_mod", solve_mod)
+    elif fault == "homology modulus doubled":
+        inner_h = enumeration.homology_modulus
+        monkeypatch.setattr(
+            enumeration, "homology_modulus",
+            lambda g: inner_h(g) * 2 if betti1(g) else inner_h(g),
+        )
 
 
 @pytest.mark.parametrize(
-    "fault", [None, "c plus one", "torsion drops a factor", "first solve fails"]
+    "fault", [None, "c plus one", "torsion drops a factor", "homology modulus doubled"]
 )
 def test_a_faulty_face_yields_counterexamples(monkeypatch, fault):
     # The faces share per-graph work; a fault in one of them must still
@@ -267,3 +258,46 @@ def test_one_elimination_per_graph(monkeypatch):
     report = verify_equivalence(max_edges=5, max_q=6)
     assert report.ok and len(counts) == report.total_graphs
     assert max(counts) == 1
+
+
+def test_no_diagonal_only_pass_on_the_boundary(monkeypatch):
+    # The homology face reads the boundary's diagonal off the D of its
+    # one elimination; the diagonal-only loop runs only on the
+    # presentations of Phi.
+    boundaries, reduced = [], []
+    inner_boundary, inner_diagonal = homology.boundary_matrix, homology._smith_diagonal
+
+    def boundary(g):
+        boundaries.append(inner_boundary(g))
+        return boundaries[-1]
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("nerongraph")]:
+        if getattr(module, "boundary_matrix", None) is inner_boundary:
+            monkeypatch.setattr(module, "boundary_matrix", boundary)
+    monkeypatch.setattr(
+        homology, "_smith_diagonal", lambda a: reduced.append(a) or inner_diagonal(a)
+    )
+    homology.smith_normal_form.cache_clear()
+    report = verify_equivalence(max_edges=5, max_q=6)
+    assert report.ok and len(boundaries) == report.total_graphs and reduced
+    assert not {id(m) for m in boundaries} & {id(a) for a in reduced}
+
+
+def _check_homology_modulus(g):
+    h = homology_modulus(g)
+    assert h == brute_force_c(g)
+    boundary, delta = boundary_matrix(g), coboundary_matrix(g)
+    for q in range(1, 13):
+        gens = kernel_generators_mod(boundary, q)
+        assert (h % q == 0) == subgroup_contained_mod(gens, delta, q)
+
+
+def test_homology_modulus_against_two_eliminations(small_family):
+    # The modulus is held, for every q <= 12, to the route of two
+    # eliminations (the boundary's kernel mod q, solved against the
+    # coboundary matrix built on its own), and is the brute-force c.
+    for g in small_family:
+        _check_homology_modulus(g)
+    rng = random.Random(18)
+    for _ in range(150):
+        _check_homology_modulus(random_connected_multigraph(rng, max_edges=12))

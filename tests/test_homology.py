@@ -494,71 +494,6 @@ class TestSolveMod:
                 assert all((lhs - rhs) % q == 0 for lhs, rhs in zip(a.apply(x), b))
 
 
-@st.composite
-def wide_matrices(draw):
-    """0-4 rows and columns (0 x n and n x 0 included) of entries in
-    -3..3 mixed with entries past 2**60 of either sign; a last row that
-    repeats the first makes some of them singular."""
-    rows = draw(st.integers(0, 4))
-    cols = draw(st.integers(0, 4))
-    entry = st.one_of(
-        st.integers(-3, 3), st.integers(2**60, 2**66), st.integers(-2**66, -2**60)
-    )
-    data = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
-    if rows >= 2 and draw(st.booleans()):
-        data[-1] = list(data[0])
-    return IntMatrix(data, cols=cols)
-
-
-class TestTransposed:
-    @given(
-        wide_matrices(),
-        st.lists(st.integers(-2**62, 2**62), min_size=4, max_size=4),
-        st.integers(1, 12),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_decomposes_the_transpose(self, a, b, q):
-        at = a.transpose()
-        t = smith_normal_form.__wrapped__(a).transposed()
-        assert t.u * at * t.v == t.d
-        assert abs(determinant(t.u)) == 1
-        assert abs(determinant(t.v)) == 1
-        assert t.diagonal == smith_normal_form(at).diagonal
-        assert t.d == IntMatrix(
-            [[t.diagonal[i] if i == j else 0 for j in range(at.cols)]
-             for i in range(at.rows)],
-            cols=at.cols,
-        )
-        rhs = b[:at.rows]
-        solvable = solve_mod(at, rhs, q) is not None
-        assert (t.solve_mod(rhs, q) is not None) == solvable
-        assert t.contains_mod([rhs], q) == solvable
-
-    def test_runs_no_second_elimination(self, monkeypatch):
-        calls = []
-        inner = homology._eliminate
-        monkeypatch.setattr(
-            homology, "_eliminate", lambda a: calls.append(a) or inner(a)
-        )
-        a = IntMatrix([[2, 4, 1], [6, 9, 0]])
-        snf = smith_normal_form.__wrapped__(a)
-        t = snf.transposed()
-        assert calls == []
-        assert t.u * a.transpose() * t.v == t.d
-        assert snf.u * a * snf.v == snf.d
-        assert calls == [a]
-
-    def test_wrong_decomposition_is_caught(self):
-        # The transpose of a decomposition that claims diag(1, 1) for
-        # diag(2, 3) is as wrong; the re-check against A^T refuses it.
-        a = IntMatrix([[2, 0], [0, 3]])
-        identity = IntMatrix.identity(2)
-        wrong = homology.SmithDecomposition(a)
-        wrong._diagonal, wrong._udv = (1, 1), (identity, identity, identity)
-        with pytest.raises(ArithmeticError, match="non-solution"):
-            wrong.transposed().solve_mod((1, 1), 4)
-
-
 class TestKernelGeneratorsMod:
     def test_loop_boundary_spans_everything(self):
         gens = kernel_generators_mod(boundary_matrix(loop_graph()), 3)
