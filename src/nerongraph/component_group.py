@@ -155,17 +155,24 @@ def phi_r_torsion(g: MultiGraph, r: int) -> AbelianGroup:
     return phi_group(g).torsion(r)
 
 
-def is_full_torsion(torsion: AbelianGroup, b1: int, r: int) -> bool:
-    """Whether the r-torsion subgroup ``torsion`` of Phi is (Z/r)^b1:
-    exactly b1 invariant factors, all equal to r (none when r = 1)."""
-    return torsion.invariant_factors == ((r,) * b1 if r > 1 else ())
+def is_full_torsion(phi: AbelianGroup, b1: int, r: int) -> bool:
+    """Whether the r-torsion of the component group ``phi`` is (Z/r)^b1.
+
+    Phi[r] is the sum of Z/gcd(n_i, r) over the invariant factors n_i,
+    so it is (Z/r)^b1 exactly when r = 1, or when Phi has b1 invariant
+    factors and r divides each of them.
+    """
+    factors = phi.invariant_factors
+    return r == 1 or (len(factors) == b1 and all(n % r == 0 for n in factors))
 
 
 def is_full_r_torsion(g: MultiGraph, r: int) -> bool:
     """Whether Phi[r] is isomorphic to (Z/r)^b1, i.e. has exactly b1
     invariant factors all equal to r.  This is the finiteness condition
     for the Neron model of the r-torsion of the Picard scheme."""
-    return is_full_torsion(phi_r_torsion(g, r), betti1(g), r)
+    if r < 1:
+        raise ValueError("r must be a positive integer")
+    return is_full_torsion(phi_group(g), betti1(g), r)
 
 
 def homology_modulus(g: MultiGraph) -> int:

@@ -6,7 +6,12 @@ with m edges are those with m - 1 edges plus one edge (a loop, an edge
 between two existing vertices, or a pendant edge to a new vertex), and
 each is kept once, in its canonical labelling.  The canonical labelling
 partitions the vertices by (degree, loop count) and minimises the edge
-multiset over the label permutations respecting the partition.
+multiset over the label permutations respecting the partition.  Within
+a class, twins -- vertices with the same neighbours over the non-loop
+edges, counted with multiplicity -- are swapped by an automorphism, so
+the search keeps them in order and runs only the distinct arrangements
+of its twin groups: the leaves of a star give one candidate, not a
+factorial.
 
 The verifier runs, over every enumerated graph and every modulus q up to
 a bound, the three faces of the finiteness criterion -- q divides the
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -36,7 +41,7 @@ from .errors import BoundsTooLarge
 from .graph import MultiGraph, betti1, enumerate_circuits, signed_common_edges
 from .invariants import circuit_invariant_c
 
-MAX_ENUMERATION_EDGES = 7
+MAX_ENUMERATION_EDGES = 8
 MAX_ENUMERATION_Q = 12
 
 Pair = tuple[int, int]
@@ -46,51 +51,112 @@ def _from_pairs(n: int, pairs: Sequence[Pair]) -> MultiGraph:
     return MultiGraph(range(n), [(i, u, v) for i, (u, v) in enumerate(pairs)])
 
 
-def _vertex_classes(n: int, pairs: Sequence[Pair]) -> list[list[int]]:
-    degree = [0] * n
+def _twin_classes(n: int, pairs: Sequence[Pair]) -> list[list[list[int]]]:
+    """The vertices by (degree, loop count), classes in key order, each
+    class split into its groups of twins: vertices whose neighbours over
+    the non-loop edges agree as a multiset.
+
+    Twins are never adjacent, since a vertex is not its own neighbour,
+    and swapping two of them is an automorphism.
+    """
     loops = [0] * n
+    neighbours: list[list[int]] = [[] for _ in range(n)]
     for u, v in pairs:
         if u == v:
             loops[u] += 1
-            degree[u] += 2
         else:
-            degree[u] += 1
-            degree[v] += 1
-    by_invariant: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        by_invariant.setdefault((degree[i], loops[i]), []).append(i)
-    return [by_invariant[key] for key in sorted(by_invariant)]
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+    by_key: dict[tuple[int, int], dict[tuple[int, ...], list[int]]] = {}
+    for i, near in enumerate(neighbours):
+        near.sort()
+        key = (len(near) + 2 * loops[i], loops[i])
+        by_key.setdefault(key, {}).setdefault(tuple(near), []).append(i)
+    return [list(by_key[key].values()) for key in sorted(by_key)]
+
+
+def _twin_placements(sizes: Sequence[int], start: int) -> list[tuple[int, ...]]:
+    """The positions start, start + 1, ... given to a class whose members
+    come twin group by twin group, with the given group sizes, in every
+    way that keeps each group's members in increasing positions.
+
+    Such a placement is a word naming the group at each position; the
+    distinct words are run in lexicographic order by the next
+    permutation of a multiset.
+    """
+    word = [g for g, size in enumerate(sizes) for _ in range(size)]
+    first = list(itertools.accumulate(sizes, initial=0))
+    out = []
+    while True:
+        placed = [0] * len(word)
+        slot = first[:]
+        for position, g in enumerate(word, start):
+            placed[slot[g]] = position
+            slot[g] += 1
+        out.append(tuple(placed))
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = word[:i:-1]
+
+
+@lru_cache(maxsize=32)
+def _pair_codes(n: int) -> list[list[int]]:
+    """min(x, y) * n + max(x, y) at [x][y]: the code of a vertex pair,
+    whose order is the lexicographic order of the sorted pairs."""
+    return [[min(x, y) * n + max(x, y) for y in range(n)] for x in range(n)]
+
+
+def _candidates(n: int, pairs: Sequence[Pair]) -> Iterator[list[int]]:
+    """The sorted pair codes of the relabellings that
+    :func:`_canonical_pairs` minimises over.
+
+    A relabelling gives each (degree, loops) class the next block of
+    labels and keeps the members of each twin group in increasing
+    order: any other one is such a relabelling after an automorphism
+    that permutes twins, and so gives the same edge multiset.  A
+    twin-free class runs through every permutation of its block.
+    """
+    order: list[int] = []
+    options: list[list[tuple[int, ...]]] = []
+    for groups in _twin_classes(n, pairs):
+        start = len(order)
+        order += itertools.chain.from_iterable(groups)
+        if len(groups) == len(order) - start:
+            options.append(list(itertools.permutations(range(start, len(order)))))
+        else:
+            options.append(_twin_placements([len(g) for g in groups], start))
+    label = [0] * n
+    for k, vertex in enumerate(order):
+        label[vertex] = k
+    local = [(label[u], label[v]) for u, v in pairs]
+    codes = _pair_codes(n)
+    if all(len(placements) == 1 for placements in options):
+        # One relabelling, which places every class in member order.
+        yield sorted([codes[a][b] for a, b in local])
+        return
+    for assignment in itertools.product(*options):
+        s = [*itertools.chain.from_iterable(assignment)]
+        yield sorted([codes[s[a]][s[b]] for a, b in local])
 
 
 def _canonical_pairs(n: int, pairs: Sequence[Pair]) -> tuple[Pair, ...]:
     """Least relabelling of the edge multiset over isomorphisms.
 
     Only permutations preserving the (degree, loops) partition can be
-    isomorphisms, so the minimum is taken over those.
+    isomorphisms, so the minimum is taken over those; twins are kept in
+    order, which leaves the minimum as it is (:func:`_candidates`).
+    Pairs are compared by their integer codes and only the least is
+    decoded.
     """
-    classes = _vertex_classes(n, pairs)
-    positions: list[list[int]] = []
-    start = 0
-    for cls in classes:
-        positions.append(list(range(start, start + len(cls))))
-        start += len(cls)
-    best: tuple[Pair, ...] | None = None
-    sigma = [0] * n
-    for assignment in itertools.product(*(itertools.permutations(p) for p in positions)):
-        for cls, placed in zip(classes, assignment):
-            for vertex, position in zip(cls, placed):
-                sigma[vertex] = position
-        candidate = tuple(
-            sorted(
-                (sigma[u], sigma[v]) if sigma[u] <= sigma[v] else (sigma[v], sigma[u])
-                for u, v in pairs
-            )
-        )
-        if best is None or candidate < best:
-            best = candidate
-    if best is None:  # the product always holds at least one assignment
-        raise ValueError("no relabelling of the edge multiset was tried")
-    return best
+    best = min(_candidates(n, pairs))
+    return tuple((code // n, code % n) for code in best)
 
 
 def connected_multigraphs(max_edges: int) -> Iterator[MultiGraph]:
@@ -163,13 +229,13 @@ def _faces(g: MultiGraph, max_q: int) -> list[tuple[bool, bool]]:
 
     :func:`~nerongraph.component_group.homology_modulus`, Phi and b1 are
     computed once and serve every q: the homology face at q is whether q
-    divides the modulus, the torsion face compares Phi[q] with
-    (Z/q)^b1.
+    divides the modulus, the torsion face whether Phi[q] is (Z/q)^b1,
+    read off Phi's invariant factors without building Phi[q].
     """
     h = homology_modulus(g)
     phi, b1 = phi_group(g), betti1(g)
     return [
-        (h % q == 0, is_full_torsion(phi.torsion(q), b1, q))
+        (h % q == 0, is_full_torsion(phi, b1, q))
         for q in range(1, max_q + 1)
     ]
 

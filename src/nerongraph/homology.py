@@ -22,9 +22,11 @@ row, and the pivot's row modulo the pivot, skips the divisibility
 step and puts the diagonal in divisibility order at the end by pairwise
 gcd and lcm.  The invariant factors (and so the component group) need
 nothing more.  The elimination with the transforms tracked,
-:func:`_eliminate`, runs on the first read of U, D or V, which only the
-solvers modulo q need.  The memo holds whatever has been computed for
-each matrix.  The verifier's homology face calls :func:`_eliminate` on
+:func:`_eliminate`, takes its pivots by the same rule
+(:func:`_unit_pivot`) and updates rows only at the support of the row
+it adds; it runs on the first read of U, D or V, which only the solvers
+modulo q need.  The memo holds whatever has been computed for each
+matrix.  The verifier's homology face calls :func:`_eliminate` on
 the boundary matrix directly, outside the memo
 (:func:`~nerongraph.component_group.homology_modulus`).
 
@@ -163,6 +165,19 @@ def _pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
     return best, next(j for j in range(t, len(row)) if abs(row[j]) == best_abs)
 
 
+def _unit_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
+    """The first ±1 of the first row from t that holds one, found by a
+    C-level scan, or else :func:`_pivot`.  Rows from t are zero before
+    column t, so a whole-row scan finds only trailing entries."""
+    for i in range(t, len(d)):
+        row = d[i]
+        if 1 in row:
+            return i, row.index(1)
+        if -1 in row:
+            return i, row.index(-1)
+    return _pivot(d, t)
+
+
 def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     """The Smith diagonal of a, without the transforms.
 
@@ -185,19 +200,10 @@ def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     d = a.row_list()
     found = []
     for t in range(min(rows, cols)):
-        for i in range(t, rows):
-            row = d[i]
-            if 1 in row:
-                j = row.index(1)
-                break
-            if -1 in row:
-                j = row.index(-1)
-                break
-        else:
-            p = _pivot(d, t)
-            if p is None:
-                break
-            i, j = p
+        p = _unit_pivot(d, t)
+        if p is None:
+            break
+        i, j = p
         d[t], d[i] = d[i], d[t]
         while True:
             if j != t:
@@ -246,13 +252,17 @@ def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
 def _eliminate(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Unimodular U and V and the Smith form D of a, with U A V = D.
 
-    At step t the pivot moves to (t, t), row operations clear column t
-    below it and column operations row t to its right; while that leaves
-    a remainder the step starts over, and once both are clear an entry
-    that the pivot does not divide has its row added to row t.  Rows and
-    columns before t are already zero from column and row t on, so every
-    operation runs over the trailing columns only.  V is kept
-    transposed, so that its column operations are row operations.
+    At step t the pivot, the first ±1 of the first row that holds one,
+    or else the smallest nonzero absolute value (:func:`_unit_pivot`),
+    moves to (t, t); row operations clear column t below it and column
+    operations row t to its right.  While that leaves a remainder the
+    step starts over, and once both are clear an entry that the pivot
+    does not divide has its row added to row t.  Rows and columns before
+    t are already zero from column and row t on.  Each operation changes
+    a row of D, U or V only at the nonzero entries of the row it adds, its
+    support, so the sparse rows of graph matrices and of early
+    transforms cost little.  V is kept transposed, so that its column
+    operations are row operations.
     """
     rows, cols = a.rows, a.cols
     d = a.row_list()
@@ -260,37 +270,45 @@ def _eliminate(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
     for t in range(min(rows, cols)):
         while True:
-            p = _pivot(d, t)
+            p = _unit_pivot(d, t)
             if p is None:
                 break
             i, j = p
             d[t], d[i] = d[i], d[t]
+            u[t], u[i] = u[i], u[t]
             if j != t:
                 for row in d[t:]:
                     row[t], row[j] = row[j], row[t]
-            u[t], u[i] = u[i], u[t]
-            vt[t], vt[j] = vt[j], vt[t]
+                vt[t], vt[j] = vt[j], vt[t]
             prow = d[t]
             pivot = prow[t]
-            tail = prow[t:]
+            support = [(k, y) for k, y in enumerate(prow[t + 1:], t + 1) if y]
+            u_support = [(k, y) for k, y in enumerate(u[t]) if y]
             dirty = False
             for i in range(t + 1, rows):
                 row = d[i]
-                if row[t]:
-                    f = -(row[t] // pivot)
-                    row[t:] = [x + f * y for x, y in zip(row[t:], tail)]
-                    u[i] = [x + f * y for x, y in zip(u[i], u[t])]
-                    if row[t]:
+                x = row[t]
+                if x:
+                    f = x // pivot
+                    row[t] = x = x - f * pivot
+                    for k, y in support:
+                        row[k] -= f * y
+                    ui = u[i]
+                    for k, y in u_support:
+                        ui[k] -= f * y
+                    if x:
                         dirty = True
             column = [(row, row[t]) for row in d[t:] if row[t]]
-            for j in range(t + 1, cols):
+            v_support = [(k, y) for k, y in enumerate(vt[t]) if y]
+            for j, y in support:
+                f = y // pivot
+                for row, x in column:
+                    row[j] -= f * x
+                vj = vt[j]
+                for k, z in v_support:
+                    vj[k] -= f * z
                 if prow[j]:
-                    f = -(prow[j] // pivot)
-                    for row, y in column:
-                        row[j] += f * y
-                    vt[j] = [x + f * y for x, y in zip(vt[j], vt[t])]
-                    if prow[j]:
-                        dirty = True
+                    dirty = True
             if dirty:
                 continue
             if pivot in (1, -1):
@@ -426,9 +444,10 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
     The diagonal is computed here, by a loop that tracks no transforms;
     it is unique.  U, D and V come on their first read from an
-    elimination whose pivots are the smallest nonzero absolute value
-    (row-major on ties) and whose diagonal entries are sign-normalised
-    to be nonnegative, so a given matrix always yields the same
+    elimination whose pivot is the first ±1 of the first row that holds
+    one, or else the smallest nonzero absolute value (row-major on
+    ties), and whose diagonal entries are sign-normalised to be
+    nonnegative, so a given matrix always yields the same
     decomposition.  The result is cached on the (hashable) input matrix
     and holds whatever has been computed of it.
     """

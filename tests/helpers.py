@@ -8,7 +8,9 @@ presentation via stacked Smith reductions, c, the support and the
 torsor pairing w through the cycles of a fundamental basis
 (:class:`CyclePairing`), which the analysis no longer builds, and the
 breadth-first spanning tree grown from the ids (:func:`bfs_tree`), which
-the graph builds once from its index tables.  The code that
+the graph builds once from its index tables, and the canonical form of
+the enumeration by every class-preserving permutation
+(:func:`canonical_pairs_by_permutations`).  The code that
 only the tests need lives here too: zero matrices, the main diagonal,
 the Bareiss determinant that checks Smith transforms are unimodular,
 the seeded random graph generator, the divisibility chain
@@ -332,6 +334,45 @@ def naive_circuits(g: MultiGraph) -> list[dict[int, int]]:
         for d in (1, -1):
             extend([(ei, d)], set())
     return [dict(pairs) for pairs in sorted(out, key=lambda pairs: [ei for ei, _ in pairs])]
+
+
+def canonical_pairs_by_permutations(
+    n: int, pairs: Sequence[tuple[int, int]]
+) -> tuple[tuple[int, int], ...]:
+    """The canonical form of :func:`nerongraph.enumeration._canonical_pairs`
+    by brute force: the least sorted edge list over every permutation
+    of the vertex labels that keeps the (degree, loops) classes, with no
+    twins and no integer codes.  Factorial in the largest class."""
+    degree = [0] * n
+    loops = [0] * n
+    for u, v in pairs:
+        degree[u] += 1
+        degree[v] += 1
+        loops[u] += u == v
+    by_invariant: dict[tuple[int, int], list[int]] = {}
+    for i in range(n):
+        by_invariant.setdefault((degree[i], loops[i]), []).append(i)
+    classes = [by_invariant[key] for key in sorted(by_invariant)]
+    positions: list[list[int]] = []
+    start = 0
+    for cls in classes:
+        positions.append(list(range(start, start + len(cls))))
+        start += len(cls)
+    best = None
+    sigma = [0] * n
+    for assignment in itertools.product(*(itertools.permutations(p) for p in positions)):
+        for cls, placed in zip(classes, assignment):
+            for vertex, position in zip(cls, placed):
+                sigma[vertex] = position
+        candidate = tuple(
+            sorted(
+                (sigma[u], sigma[v]) if sigma[u] <= sigma[v] else (sigma[v], sigma[u])
+                for u, v in pairs
+            )
+        )
+        if best is None or candidate < best:
+            best = candidate
+    return best
 
 
 def coboundary_witness(

@@ -3,6 +3,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerongraph import (
     AbelianGroup,
@@ -30,7 +32,7 @@ from nerongraph.homology import (
     subgroup_contained_mod,
 )
 
-from helpers import random_connected_multigraph
+from helpers import canonical_pairs_by_permutations, random_connected_multigraph
 
 
 def _labelled(g):
@@ -144,6 +146,75 @@ def test_relabelled_graphs_have_same_canonical_form():
         assert _canonical_pairs(n, pairs) == _canonical_pairs(n, relabelled)
 
 
+@st.composite
+def multigraph_pairs(draw):
+    """A vertex count n <= 8 and at most 10 edges on it, as sorted pairs:
+    loops, parallel edges and isolated vertices come up on their own."""
+    n = draw(st.integers(1, 8))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=10))
+    return n, [(min(u, v), max(u, v)) for u, v in pairs]
+
+
+def _shapes():
+    """Stars, double stars and centres with pendant parallel pairs, whose
+    classes are made of twins, with a loop or a parallel edge added."""
+    shapes = []
+    for k in range(1, 8):
+        star = [(0, i) for i in range(1, k + 1)]
+        shapes += [(k + 1, star), (k + 1, star + [(0, 0)]), (k + 1, star + [(1, 1)])]
+        pendants = [(0, i) for i in range(1, k + 1) for _ in range(2)]
+        shapes += [(k + 1, pendants), (k + 1, pendants[1:])]
+    for a in range(1, 4):
+        for b in range(1, 4):
+            double_star = [(0, 1)] + [(0, i) for i in range(2, a + 2)]
+            double_star += [(1, i) for i in range(a + 2, a + b + 2)]
+            shapes += [(a + b + 2, double_star), (a + b + 2, double_star + [(0, 1)])]
+    return shapes
+
+
+@given(multigraph_pairs())
+@settings(max_examples=300, deadline=None)
+def test_canonical_form_matches_the_permutation_oracle(graph):
+    n, pairs = graph
+    assert _canonical_pairs(n, pairs) == canonical_pairs_by_permutations(n, pairs)
+
+
+@pytest.mark.parametrize("n, pairs", _shapes())
+def test_canonical_form_of_twin_shapes_matches_the_oracle(n, pairs):
+    assert _canonical_pairs(n, pairs) == canonical_pairs_by_permutations(n, pairs)
+
+
+def test_the_stream_is_the_same_with_the_permutation_oracle(monkeypatch):
+    stream = [_labelled(g) for g in connected_multigraphs(7)]
+    monkeypatch.setattr(enumeration, "_canonical_pairs", canonical_pairs_by_permutations)
+    assert [_labelled(g) for g in connected_multigraphs(7)] == stream
+
+
+@pytest.mark.parametrize("n, pairs", [
+    (13, [(0, i) for i in range(1, 13)]),  # a star with 12 leaves
+    (7, [(0, i) for i in range(1, 7) for _ in range(2)]),  # 6 pendant double edges
+])
+def test_twins_are_not_permuted(monkeypatch, n, pairs):
+    # Each class here is one group of twins, so a handful of candidates
+    # decide; the class-preserving permutations number 12! and 6!.
+    counts = []
+    inner = enumeration._candidates
+
+    def candidates(n, pairs):
+        counts.append(0)
+        for candidate in inner(n, pairs):
+            counts[-1] += 1
+            yield candidate
+
+    monkeypatch.setattr(enumeration, "_candidates", candidates)
+    centre = n - 1  # the one vertex of the largest degree takes the last label
+    assert _canonical_pairs(n, pairs) == tuple(
+        (i - 1, centre) for i in sorted(v for u, v in pairs)
+    )
+    assert len(counts) == 1 and counts[0] <= 4
+
+
 def test_random_graphs_valid_and_reproducible():
     a = [random_connected_multigraph(random.Random(17), max_edges=12) for _ in range(5)]
     b = [random_connected_multigraph(random.Random(17), max_edges=12) for _ in range(5)]
@@ -176,7 +247,14 @@ def test_verify_seven_edges():
     assert report.checks == 10092
 
 
+def test_eight_edge_count():
+    # OEIS A007719 gives 4779 connected multigraphs with 8 edges.
+    assert sum(g.n_edges == 8 for g in connected_multigraphs(8)) == 4779
+
+
 def test_verify_bounds_guarded():
+    with pytest.raises(BoundsTooLarge, match="between 1 and 8"):
+        verify_equivalence(max_edges=9)
     with pytest.raises(BoundsTooLarge):
         verify_equivalence(max_edges=30)
     with pytest.raises(BoundsTooLarge):
@@ -214,10 +292,10 @@ def _inject(monkeypatch, fault):
         inner_c = enumeration.brute_force_c
         monkeypatch.setattr(enumeration, "brute_force_c", lambda g: inner_c(g) + 1)
     elif fault == "torsion drops a factor":
-        inner_torsion = AbelianGroup.torsion
+        inner_phi = enumeration.phi_group
         monkeypatch.setattr(
-            AbelianGroup, "torsion",
-            lambda self, r: AbelianGroup(inner_torsion(self, r).invariant_factors[1:]),
+            enumeration, "phi_group",
+            lambda g: AbelianGroup(inner_phi(g).invariant_factors[1:]),
         )
     elif fault == "homology modulus doubled":
         inner_h = enumeration.homology_modulus

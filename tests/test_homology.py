@@ -384,6 +384,49 @@ def sparse_matrices(draw):
     return IntMatrix(entries, cols=cols)
 
 
+def _boundaries():
+    return st.builds(
+        lambda seed: boundary_matrix(
+            random_connected_multigraph(random.Random(seed), max_edges=12)),
+        st.integers(0, 2**32),
+    )
+
+
+@st.composite
+def _entries_from(draw, values):
+    """0-6 rows and columns of the given values, rectangular and, by a
+    last row that repeats the first, singular."""
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+    entries = [[draw(st.sampled_from(values)) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        entries[-1] = entries[0][:]
+    return IntMatrix(entries, cols=cols)
+
+
+class TestEliminate:
+    """The elimination with transforms, whose pivot is the first ±1 of
+    the first row that holds one and whose operations touch only the
+    support of the row they add."""
+
+    @given(st.one_of(
+        _boundaries(),
+        _entries_from((0, 0, 1, -1, 2, -2)),
+        _entries_from((0, 1, -1, 2**61 + 1, -(2**62) + 3, 3 * 2**60, -(2**63))),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_transforms(self, m):
+        u, d, v = homology._eliminate(m)
+        assert u * m * v == d
+        assert abs(determinant(u)) == 1
+        assert abs(determinant(v)) == 1
+        diagonal = homology._smith_diagonal(m)
+        assert d == IntMatrix(
+            [[diagonal[i] if i == j else 0 for j in range(m.cols)] for i in range(m.rows)],
+            cols=m.cols,
+        )
+
+
 class TestSmithDiagonal:
     """The diagonal-only loop, whose entries are put in divisibility
     order at the end by pairwise gcd and lcm, against the elimination
