@@ -4,14 +4,25 @@ equivalence verifier.
 Graphs are enumerated up to isomorphism by edge augmentation: the graphs
 with m edges are those with m - 1 edges plus one edge (a loop, an edge
 between two existing vertices, or a pendant edge to a new vertex), and
-each is kept once, in its canonical labelling.  The canonical labelling
-partitions the vertices by (degree, loop count) and minimises the edge
-multiset over the label permutations respecting the partition.  Within
-a class, twins -- vertices with the same neighbours over the non-loop
-edges, counted with multiplicity -- are swapped by an automorphism, so
-the search keeps them in order and runs only the distinct arrangements
-of its twin groups: the leaves of a star give one candidate, not a
-factorial.
+each is kept once, in its canonical labelling.  Only the children whose
+new edge is top-ranked among their edges are canonicalised (the
+canonical deletion of McKay, 1998, as a cheap filter).  Ranks are
+isomorphism invariants: loops first, by the degree of their vertex,
+then non-loop edges of multiplicity >= 2, by (multiplicity, sorted end
+degrees), then pendant edges, by the degree of the other end, then all
+other edges, tied; ties are kept.  Every top-ranked edge can be
+deleted leaving a connected graph one edge smaller -- a pendant edge
+with its leaf; a graph with none of the first three kinds is simple
+with minimum degree >= 2, so it has a cycle, whose edges tie -- and
+the augmentation that puts it back is kept, so no graph is lost.
+
+The canonical labelling partitions the vertices by (degree, loop count)
+and minimises the edge multiset over the label permutations respecting
+the partition.  Within a class, twins -- vertices with the same
+neighbours over the non-loop edges, counted with multiplicity -- are
+swapped by an automorphism, so the search keeps them in order and runs
+only the distinct arrangements of its twin groups: the leaves of a star
+give one candidate, not a factorial.
 
 The verifier runs, over every enumerated graph and every modulus q up to
 a bound, the three faces of the finiteness criterion -- q divides the
@@ -159,17 +170,79 @@ def _canonical_pairs(n: int, pairs: Sequence[Pair]) -> tuple[Pair, ...]:
     return tuple((code // n, code % n) for code in best)
 
 
+def _augmentations(n: int, pairs: Sequence[Pair]) -> list[Pair]:
+    """The edges (u, v), u <= v <= n, whose addition to the connected
+    graph with the given sorted pairs leaves no edge of the child
+    outranking the new one; v == n is a pendant edge to a new vertex.
+
+    Ranks, highest first: loops, by the degree of their vertex; non-loop
+    edges of multiplicity >= 2, by (multiplicity, sorted end degrees);
+    pendant edges (an end of degree 1), by the degree of the other end;
+    then every other edge, all tied.  Ties keep the edge.  Each (u, v)
+    is decided from the degrees, loop vertices and multiplicities of
+    the graph, computed once: the child differs only at u and v.
+    """
+    degree = [0] * n
+    multiplicity: dict[Pair, int] = {}
+    for u, v in pairs:
+        degree[u] += 1
+        degree[v] += 1
+        multiplicity[u, v] = multiplicity.get((u, v), 0) + 1
+    loop_degrees = [degree[u] for u, v in multiplicity if u == v]
+    if loop_degrees:
+        # Only a loop can be top-ranked; a new loop at u has degree + 2.
+        top = max(loop_degrees)
+        return [(u, u) for u in range(n) if degree[u] + 2 >= top]
+    kept = [(u, u) for u in range(n)]  # the child's only loop
+    parallel = {edge: k for edge, k in multiplicity.items() if k >= 2}
+    for u, v in multiplicity:  # a parallel of an existing edge
+        child = degree[:]
+        child[u] += 1
+        child[v] += 1
+        new = (multiplicity[u, v] + 1, *sorted((child[u], child[v])))
+        if all((k, *sorted((child[a], child[b]))) <= new
+               for (a, b), k in parallel.items() if (a, b) != (u, v)):
+            kept.append((u, v))
+    if parallel:
+        return kept
+    # A simple connected graph: a new edge between two of its vertices
+    # has both ends of degree >= 2 and ranks last, so it ties with the
+    # rest only if every leaf is one of its ends.
+    leaves = {}  # leaf: the other end of its edge
+    for u, v in pairs:
+        if degree[u] == 1:
+            leaves[u] = v
+        if degree[v] == 1:
+            leaves[v] = u
+    if len(leaves) <= 2:
+        kept += [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if (u, v) not in multiplicity and leaves.keys() <= {u, v}
+        ]
+    for u in range(n):  # a pendant edge at u ranks by degree[u] + 1
+        if all(degree[x] + (x == u) <= degree[u] + 1
+               for w, x in leaves.items() if w != u):
+            kept.append((u, n))
+    return kept
+
+
 def connected_multigraphs(max_edges: int) -> Iterator[MultiGraph]:
     """All connected multigraphs with at most ``max_edges`` edges, up to
     isomorphism; loops and parallel edges included.
 
-    Each stratum is grown from the one before: every connected multigraph
-    with m >= 1 edges is one with m - 1 edges plus one edge, since deleting
-    an edge on a cycle, or the edge of a leaf, leaves it connected.  So
-    adding to each graph of the previous stratum each loop, each edge
-    between two of its vertices and each pendant edge to a new vertex, and
-    keeping one canonical form per isomorphism class, gives every graph of
-    the stratum exactly once.
+    Each stratum is grown from the one before, and a child is
+    canonicalised only when its new edge is top-ranked among its edges
+    (:func:`_augmentations`; McKay, "Isomorph-free exhaustive
+    generation", 1998, used as a filter in front of the canonical
+    form).  No graph is lost: every top-ranked edge of a connected
+    multigraph C with m >= 1 edges can be deleted leaving a connected
+    graph with m - 1 edges -- a loop or a parallel edge as it is, a
+    pendant edge together with its leaf, and when C has none of these
+    it is simple with minimum degree >= 2, so it has a cycle, and every
+    edge ties, a cycle edge included.  The ranks are isomorphism
+    invariants, so the augmentation of the previous stratum's canonical
+    form of C - e at the image of a top-ranked e is kept, and the set of
+    canonical forms gives every graph of the stratum exactly once.
 
     Vertices are labelled 0..n-1 and edges 0..m-1 in the canonical order
     of :func:`_canonical_pairs`; the graphs are yielded by edge count, and
@@ -181,10 +254,9 @@ def connected_multigraphs(max_edges: int) -> Iterator[MultiGraph]:
     for _ in range(max_edges):
         grown: set[tuple[int, tuple[Pair, ...]]] = set()
         for n, pairs in layer:
-            for u in range(n):
-                for v in range(u, n + 1):  # v == n: a pendant edge to a new vertex
-                    size = n + (v == n)
-                    grown.add((size, _canonical_pairs(size, pairs + ((u, v),))))
+            for u, v in _augmentations(n, pairs):
+                size = n + (v == n)
+                grown.add((size, _canonical_pairs(size, pairs + ((u, v),))))
         layer = grown
         for n, pairs in sorted(layer):
             yield _from_pairs(n, pairs)

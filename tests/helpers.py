@@ -10,7 +10,11 @@ torsor pairing w through the cycles of a fundamental basis
 breadth-first spanning tree grown from the ids (:func:`bfs_tree`), which
 the graph builds once from its index tables, and the canonical form of
 the enumeration by every class-preserving permutation
-(:func:`canonical_pairs_by_permutations`).  The code that
+(:func:`canonical_pairs_by_permutations`), the enumeration's stream by
+canonicalising every augmentation
+(:func:`connected_multigraphs_by_every_augmentation`), and its rank
+filter by ranking every edge of every child
+(:func:`augmentations_by_child_ranks`).  The code that
 only the tests need lives here too: zero matrices, the main diagonal,
 the Bareiss determinant that checks Smith transforms are unimodular,
 the seeded random graph generator, the divisibility chain
@@ -22,10 +26,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 from functools import reduce
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from nerongraph import (
     DimensionMismatch,
@@ -44,7 +48,7 @@ from nerongraph import (
     solve_mod,
     thickness_subdivision,
 )
-from nerongraph.enumeration import brute_force_c
+from nerongraph.enumeration import _canonical_pairs, _from_pairs, brute_force_c
 from nerongraph.graph import spanning_tree
 from nerongraph.homology import IntMatrix, coboundary_matrix
 
@@ -373,6 +377,64 @@ def canonical_pairs_by_permutations(
         if best is None or candidate < best:
             best = candidate
     return best
+
+
+def connected_multigraphs_by_every_augmentation(max_edges: int) -> Iterator[MultiGraph]:
+    """The stream of :func:`nerongraph.enumeration.connected_multigraphs`
+    with no rank filter: every loop, every edge between two vertices and
+    every pendant edge added to every graph of the stratum below is
+    canonicalised."""
+    layer: set[tuple[int, tuple[tuple[int, int], ...]]] = {(1, ())}
+    yield _from_pairs(1, ())
+    for _ in range(max_edges):
+        grown = set()
+        for n, pairs in layer:
+            for u in range(n):
+                for v in range(u, n + 1):  # v == n: a pendant edge to a new vertex
+                    size = n + (v == n)
+                    grown.add((size, _canonical_pairs(size, pairs + ((u, v),))))
+        layer = grown
+        for n, pairs in sorted(layer):
+            yield _from_pairs(n, pairs)
+
+
+def edge_ranks(n: int, pairs: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """The rank of each edge of the graph with the given sorted pairs,
+    the rule of :func:`nerongraph.enumeration._augmentations` read off
+    the graph itself: loops by the degree of their vertex, then edges of
+    multiplicity >= 2 by (multiplicity, sorted end degrees), then
+    pendant edges by the degree of the other end, then the rest."""
+    degree = [0] * n
+    for u, v in pairs:
+        degree[u] += 1
+        degree[v] += 1
+    multiplicity = Counter(pairs)
+    ranks = []
+    for u, v in pairs:
+        ends = sorted((degree[u], degree[v]))
+        if u == v:
+            ranks.append((3, degree[u]))
+        elif multiplicity[u, v] >= 2:
+            ranks.append((2, multiplicity[u, v], *ends))
+        elif ends[0] == 1:
+            ranks.append((1, ends[1]))
+        else:
+            ranks.append((0,))
+    return ranks
+
+
+def augmentations_by_child_ranks(
+    n: int, pairs: Sequence[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The (u, v), u <= v <= n, whose new edge no edge of the child
+    outranks, by ranking every edge of every child."""
+    kept = []
+    for u in range(n):
+        for v in range(u, n + 1):
+            ranks = edge_ranks(n + (v == n), [*pairs, (u, v)])
+            if ranks[-1] >= max(ranks):
+                kept.append((u, v))
+    return kept
 
 
 def coboundary_witness(

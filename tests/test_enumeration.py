@@ -3,12 +3,14 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nerongraph import (
     AbelianGroup,
     BoundsTooLarge,
+    Disconnected,
+    MultiGraph,
     betti1,
     boundary_matrix,
     homological_criterion,
@@ -19,6 +21,7 @@ from nerongraph import (
 import nerongraph.enumeration as enumeration
 import nerongraph.homology as homology
 from nerongraph.enumeration import (
+    _augmentations,
     _canonical_pairs,
     _faces,
     brute_force_c,
@@ -32,7 +35,12 @@ from nerongraph.homology import (
     subgroup_contained_mod,
 )
 
-from helpers import canonical_pairs_by_permutations, random_connected_multigraph
+from helpers import (
+    augmentations_by_child_ranks,
+    canonical_pairs_by_permutations,
+    connected_multigraphs_by_every_augmentation,
+    random_connected_multigraph,
+)
 
 
 def _labelled(g):
@@ -189,6 +197,91 @@ def test_the_stream_is_the_same_with_the_permutation_oracle(monkeypatch):
     stream = [_labelled(g) for g in connected_multigraphs(7)]
     monkeypatch.setattr(enumeration, "_canonical_pairs", canonical_pairs_by_permutations)
     assert [_labelled(g) for g in connected_multigraphs(7)] == stream
+
+
+def test_the_stream_is_the_same_as_by_every_augmentation():
+    # The rank filter only skips children whose canonical form another
+    # augmentation reaches: the labelled stream through 8 edges is the
+    # one of canonicalising every augmentation of every parent.
+    stream = [_labelled(g) for g in connected_multigraphs(8)]
+    assert stream == [_labelled(g) for g in connected_multigraphs_by_every_augmentation(8)]
+
+
+def _sorted_pairs(g):
+    return [(min(u, v), max(u, v)) for u, v in g.endpoints]
+
+
+def _random_pairs(seed):
+    g = random_connected_multigraph(random.Random(seed), max_edges=10)
+    return g.n_vertices, _sorted_pairs(g)
+
+
+def test_filter_matches_the_child_ranks_on_every_parent(small_family):
+    for g in small_family:
+        if g.n_edges <= 5:
+            n, pairs = g.n_vertices, _sorted_pairs(g)
+            assert sorted(_augmentations(n, pairs)) == augmentations_by_child_ranks(n, pairs)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_filter_matches_the_child_ranks_on_random_graphs(seed):
+    n, pairs = _random_pairs(seed)
+    assert sorted(_augmentations(n, pairs)) == augmentations_by_child_ranks(n, pairs)
+
+
+def _connected(n, pairs):
+    try:
+        MultiGraph(range(n), [(i, u, v) for i, (u, v) in enumerate(pairs)])
+    except Disconnected:
+        return False
+    return True
+
+
+def _deletions(n, pairs):
+    """(parent vertex count, parent pairs, the edge that puts each edge
+    back) for every edge of the graph: a pendant edge goes with its
+    leaf, the other vertices keeping their order, and comes back as a
+    pendant edge to the new vertex."""
+    degree = [0] * n
+    for u, v in pairs:
+        degree[u] += 1
+        degree[v] += 1
+    for i, (u, v) in enumerate(pairs):
+        rest = pairs[:i] + pairs[i + 1:]
+        leaf = next((w for w in (v, u) if u != v and degree[w] == 1), None)
+        if leaf is None:
+            yield n, rest, (u, v)
+            continue
+        label = [x - (x > leaf) for x in range(n)]
+        other = u + v - leaf
+        yield n - 1, [(label[a], label[b]) for a, b in rest], (label[other], n - 1)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_some_deletable_edge_is_kept_by_the_filter(seed):
+    # Completeness: every connected graph with an edge is reached from
+    # the stratum below, deleting an edge that leaves it connected and
+    # that the filter keeps when it is put back.
+    n, pairs = _random_pairs(seed)
+    assume(pairs)
+    assert any(
+        _connected(m, rest) and edge in _augmentations(m, rest)
+        for m, rest, edge in _deletions(n, pairs)
+    )
+
+
+def test_few_children_are_canonicalised(monkeypatch):
+    # Every augmentation of every parent gives 1743 canonical forms for
+    # the 471 graphs with at most 6 edges; the rank filter leaves 663.
+    calls = []
+    inner = enumeration._canonical_pairs
+    monkeypatch.setattr(
+        enumeration, "_canonical_pairs", lambda n, pairs: calls.append(n) or inner(n, pairs)
+    )
+    assert sum(1 for _ in connected_multigraphs(6)) == 471
+    assert len(calls) <= 700
 
 
 @pytest.mark.parametrize("n, pairs", [
