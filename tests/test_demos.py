@@ -1,25 +1,50 @@
-"""The demo scripts must run clean end to end."""
+"""The demo scripts must run clean end to end, and print exactly what
+they printed when their goldens were written.
+
+Each demo's stdout is pinned under ``tests/golden/`` as
+``demo-<script stem>.txt``, with demo 05's wall time masked.  After a
+deliberate change to what a demo prints, regenerate them with
+
+    PYTHONPATH=src python tests/test_demos.py
+"""
 
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-def test_demos_exist():
-    assert len(DEMOS) == 5
-
-
-@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(script):
+def demo_output(script):
+    """The demo's stdout with every ``in X.XXs`` timing masked, after
+    checking that it exits 0."""
     result = subprocess.run(
         [sys.executable, str(script)], capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
+    return re.sub(r"\bin \d+\.\d+s\b", "in X.XXs", result.stdout)
+
+
+def golden_path(script):
+    return GOLDEN / f"demo-{script.stem}.txt"
+
+
+def test_demos_exist():
+    assert len(DEMOS) == 5
+    assert sorted(p.name for p in GOLDEN.glob("demo-*.txt")) == sorted(
+        golden_path(s).name for s in DEMOS
+    )
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(script):
+    out = demo_output(script)
+    assert out.strip()
+    assert out == golden_path(script).read_text()
 
 
 def test_cli_reads_shipped_data_files():
@@ -28,3 +53,10 @@ def test_cli_reads_shipped_data_files():
     data = pathlib.Path(__file__).parent.parent / "demos" / "data"
     for doc in sorted(data.glob("*.json")):
         assert main(["analyze", str(doc)]) == 0
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for script in DEMOS:
+        golden_path(script).write_text(demo_output(script))
+    print(f"wrote {len(DEMOS)} demo goldens to {GOLDEN}", file=sys.stderr)
