@@ -250,9 +250,6 @@ class MultiGraph:
         except KeyError:
             raise UnknownEdge(f"no edge with id {shown(repr(e))}") from None
 
-    def edge(self, e: EdgeId) -> Edge:
-        return self._edges[self.edge_index(e)]
-
     def genus(self, v: VertexId) -> int:
         return self.genera[self._vindex[v]]
 

@@ -1,34 +1,29 @@
 """Exact integer linear algebra for graph chain complexes.
 
-Boundary and coboundary matrices of an oriented graph, the intersection
-matrix M = -(boundary o coboundary), the grounded Kirchhoff matrix and
-the thickness-weighted cycle pairing, which both present the component
-group of the thickness subdivision without building it, Smith normal
-form over the integers with unimodular transforms, and
-solvability/kernels of linear systems modulo an arbitrary (possibly
-composite) positive integer q, which are methods of the decomposition
-(``solve_mod``, ``kernel_mod``, ``contains_mod``); the functions
-:func:`solve_mod`, :func:`kernel_generators_mod` and
-:func:`subgroup_contained_mod` call them on the memoised decomposition
-of their matrix.  The graph matrices are filled straight
+The boundary matrix of an oriented graph, the intersection matrix
+M = -(boundary o coboundary), the grounded Kirchhoff matrix and the
+thickness-weighted cycle pairing, which both present the component
+group of the thickness subdivision without building it, the Smith
+normal form over the integers, and linear systems modulo an arbitrary
+(possibly composite) positive integer q: :func:`solve_mod` and
+:func:`kernel_generators_mod`.  The graph matrices are filled straight
 from the index tables that the graph builds once: the ``(tail index,
 tip index)`` of every edge in ``MultiGraph.endpoints`` and the
 thicknesses by edge index in ``MultiGraph.thicknesses``.
 
-Two loops compute the Smith form.  :func:`smith_normal_form` runs the
-diagonal-only one at once: it clears each pivot's column by Euclid,
-which changes a row below only at the nonzero columns of the pivot
-row, and the pivot's row modulo the pivot, skips the divisibility
-step and puts the diagonal in divisibility order at the end by pairwise
-gcd and lcm.  The invariant factors (and so the component group) need
-nothing more.  The elimination with the transforms tracked,
-:func:`_eliminate`, takes its pivots by the same rule
-(:func:`_unit_pivot`) and updates rows only at the support of the row
-it adds; it runs on the first read of U, D or V, which only the solvers
-modulo q need.  The memo holds whatever has been computed for each
-matrix.  The verifier's homology face calls :func:`_eliminate` on
-the boundary matrix directly, outside the memo
-(:func:`~nerongraph.component_group.homology_modulus`).
+Two loops compute the Smith form.  :func:`_smith_diagonal` computes the
+diagonal alone: it clears each pivot's column by Euclid, which changes
+a row below only at the nonzero columns of the pivot row, and the
+pivot's row modulo the pivot, skips the divisibility step and puts the
+diagonal in divisibility order at the end by pairwise gcd and lcm.
+The invariant factors (and so the component group) need nothing more,
+and :func:`smith_normal_form` memoises that diagonal and nothing else.
+:func:`_eliminate` computes D with the unimodular transforms U and V;
+it takes its pivots by the same rule (:func:`_unit_pivot`) and updates
+rows only at the support of the row it adds.  It runs outside the memo,
+once per call, in the solvers modulo q and in the verifier's homology
+face (:func:`~nerongraph.component_group.homology_modulus`), each of
+which reads the diagonal off the same D as its U and V.
 
 Everything is computed with Python's arbitrary-precision integers; no
 floating point is used anywhere.  Smith reduction of integer Laplacians
@@ -40,7 +35,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DimensionMismatch
 from .graph import MultiGraph
@@ -336,122 +331,20 @@ def _eliminate(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
-class SmithDecomposition:
-    """Unimodular U, V and diagonal D with U A V = D, for the A given,
-    and the solvers modulo q that read them.
+class SmithForm(NamedTuple):
+    """The Smith diagonal of a matrix: nonnegative entries, each dividing
+    the next, zeros last, one for each of min(rows, cols)."""
 
-    The diagonal entries are nonnegative, each divides the next, and
-    zeros trail.  The diagonal is computed at once, by the
-    diagonal-only loop; U, D and V are computed together, by the
-    elimination with transforms, on the first read of any of them and
-    kept.  :meth:`solve_mod`, :meth:`kernel_mod` and
-    :meth:`contains_mod` solve systems in A modulo q.
-    """
-
-    __slots__ = ("_a", "_diagonal", "_udv")
-
-    def __init__(self, a: IntMatrix) -> None:
-        self._a = a
-        self._diagonal = _smith_diagonal(a)
-        self._udv = None
-
-    def _transforms(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-        # Threads that race here compute equal values; either may win.
-        if self._udv is None:
-            self._udv = _eliminate(self._a)
-        return self._udv
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return self._diagonal
-
-    @property
-    def u(self) -> IntMatrix:
-        return self._transforms()[0]
-
-    @property
-    def d(self) -> IntMatrix:
-        return self._transforms()[1]
-
-    @property
-    def v(self) -> IntMatrix:
-        return self._transforms()[2]
-
-    def solve_mod(self, b: Sequence[int], q: int) -> tuple[int, ...] | None:
-        """A solution x of A x = b (mod q), or None when there is none.
-
-        Diagonalising turns the system into independent congruences
-        d_i y_i = (U b)_i (mod q); kernels and images modulo a composite
-        q come out of the integer Smith form directly, with no
-        per-prime decomposition.  A solution is checked against the
-        system before it is returned; :class:`ArithmeticError` means the
-        decomposition was wrong.
-        """
-        _check_modulus(q)
-        a = self._a
-        if len(b) != a.rows:
-            raise DimensionMismatch(
-                f"matrix has {a.rows} rows, right-hand side has {len(b)} entries"
-            )
-        c = self.u.apply(b)
-        diag = self._diagonal
-        y = [0] * a.cols
-        for i in range(a.rows):
-            d_i = diag[i] if i < len(diag) else 0
-            rhs = c[i] % q
-            g = gcd(d_i, q)  # gcd(0, q) == q
-            if rhs % g != 0:
-                return None
-            if i < a.cols and d_i != 0:
-                qg = q // g
-                if qg > 1:
-                    y[i] = (rhs // g) * pow(d_i // g, -1, qg) % qg
-        x = tuple(value % q for value in self.v.apply(y))
-        if any((lhs - rhs) % q != 0 for lhs, rhs in zip(a.apply(x), b)):
-            raise ArithmeticError("solve_mod: the Smith form gave a non-solution")
-        return x
-
-    def kernel_mod(self, q: int) -> list[tuple[int, ...]]:
-        """Generators of {x : A x = 0 (mod q)} as a Z/qZ-module.
-
-        The kernel is V applied to the solutions of d_j y_j = 0 (mod q),
-        i.e. spanned by (q / gcd(d_j, q)) times the columns of V.  Columns
-        whose multiplier vanishes modulo q are dropped, so the generators
-        are nonzero and independent whenever the diagonal entries are 0
-        or 1 (the case of graph boundary maps).  V is not read when no
-        column is kept.
-        """
-        _check_modulus(q)
-        diag = self._diagonal + (0,) * (self._a.cols - len(self._diagonal))
-        gens = []
-        for j, d_j in enumerate(diag):
-            multiplier = q // gcd(d_j, q)
-            if multiplier % q:
-                gens.append(tuple((multiplier * x) % q for x in self.v.column(j)))
-        return gens
-
-    def contains_mod(self, gens: Iterable[Sequence[int]], q: int) -> bool:
-        """Whether every generator lies in the image of A modulo q, each
-        solved by :meth:`solve_mod`.  An empty generator list is vacuously
-        contained."""
-        _check_modulus(q)
-        return all(self.solve_mod(gen, q) is not None for gen in gens)
+    diagonal: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form of a, deterministically.
+def smith_normal_form(a: IntMatrix) -> SmithForm:
+    """The Smith normal form of a, by the diagonal-only loop
+    :func:`_smith_diagonal`; it is unique.  The result is cached on the
+    (hashable) input matrix."""
+    return SmithForm(_smith_diagonal(a))
 
-    The diagonal is computed here, by a loop that tracks no transforms;
-    it is unique.  U, D and V come on their first read from an
-    elimination whose pivot is the first ±1 of the first row that holds
-    one, or else the smallest nonzero absolute value (row-major on
-    ties), and whose diagonal entries are sign-normalised to be
-    nonnegative, so a given matrix always yields the same
-    decomposition.  The result is cached on the (hashable) input matrix
-    and holds whatever has been computed of it.
-    """
-    return SmithDecomposition(a)
 
 # -- graph matrices --------------------------------------------------------
 
@@ -469,21 +362,6 @@ def boundary_matrix(g: MultiGraph) -> IntMatrix:
             rows[tip][j] = 1
             rows[tail][j] = -1
     return IntMatrix._trusted(tuple(map(tuple, rows)), g.n_edges)
-
-
-def coboundary_matrix(g: MultiGraph) -> IntMatrix:
-    """The coboundary map from 0-cochains to 1-cochains: a vertex goes to
-    the sum of edges ending at it minus the sum of edges starting at it.
-    With the canonical identification of chains and cochains this is the
-    transpose of the boundary matrix."""
-    rows = []
-    for tail, tip in g.endpoints:
-        row = [0] * g.n_vertices
-        if tail != tip:
-            row[tip] = 1
-            row[tail] = -1
-        rows.append(tuple(row))
-    return IntMatrix._trusted(tuple(rows), g.n_vertices)
 
 
 def intersection_matrix(g: MultiGraph) -> IntMatrix:
@@ -580,20 +458,54 @@ def _check_modulus(q: int) -> None:
 
 
 def solve_mod(a: IntMatrix, b: Sequence[int], q: int) -> tuple[int, ...] | None:
-    """A solution x of a x = b (mod q), or None; see
-    :meth:`SmithDecomposition.solve_mod`."""
-    return smith_normal_form(a).solve_mod(b, q)
+    """A solution x of a x = b (mod q), or None when there is none.
+
+    With U a V = D from :func:`_eliminate`, the system turns into
+    independent congruences d_i y_i = (U b)_i (mod q), and x = V y;
+    kernels and images modulo a composite q come out of the integer
+    Smith form directly, with no per-prime decomposition.  A solution is
+    checked against the system before it is returned;
+    :class:`ArithmeticError` means the elimination was wrong.
+    """
+    _check_modulus(q)
+    if len(b) != a.rows:
+        raise DimensionMismatch(
+            f"matrix has {a.rows} rows, right-hand side has {len(b)} entries"
+        )
+    u, d, v = _eliminate(a)
+    c = u.apply(b)
+    y = [0] * a.cols
+    for i in range(a.rows):
+        d_i = d[i, i] if i < a.cols else 0
+        rhs = c[i] % q
+        g = gcd(d_i, q)  # gcd(0, q) == q
+        if rhs % g != 0:
+            return None
+        if d_i != 0:
+            qg = q // g
+            if qg > 1:
+                y[i] = (rhs // g) * pow(d_i // g, -1, qg) % qg
+    x = tuple(value % q for value in v.apply(y))
+    if any((lhs - rhs) % q != 0 for lhs, rhs in zip(a.apply(x), b)):
+        raise ArithmeticError("solve_mod: the Smith form gave a non-solution")
+    return x
 
 
 def kernel_generators_mod(a: IntMatrix, q: int) -> list[tuple[int, ...]]:
-    """Generators of {x : a x = 0 (mod q)}; see
-    :meth:`SmithDecomposition.kernel_mod`."""
-    return smith_normal_form(a).kernel_mod(q)
+    """Generators of {x : a x = 0 (mod q)} as a Z/qZ-module.
 
-
-def subgroup_contained_mod(
-    gens_a: Iterable[Sequence[int]], b_matrix: IntMatrix, q: int
-) -> bool:
-    """Whether every generator lies in the image of b_matrix modulo q; see
-    :meth:`SmithDecomposition.contains_mod`."""
-    return smith_normal_form(b_matrix).contains_mod(gens_a, q)
+    With U a V = D from :func:`_eliminate`, the kernel is V applied to
+    the solutions of d_j y_j = 0 (mod q), i.e. spanned by
+    (q / gcd(d_j, q)) times the columns of V.  Columns whose multiplier
+    vanishes modulo q are dropped, so the generators are nonzero and
+    independent whenever the diagonal entries are 0 or 1 (the case of
+    graph boundary maps).
+    """
+    _check_modulus(q)
+    _, d, v = _eliminate(a)
+    gens = []
+    for j in range(a.cols):
+        multiplier = q // gcd(d[j, j] if j < a.rows else 0, q)
+        if multiplier % q:
+            gens.append(tuple((multiplier * x) % q for x in v.column(j)))
+    return gens

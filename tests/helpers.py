@@ -18,8 +18,11 @@ filter by ranking every edge of every child
 only the tests need lives here too: zero matrices, the main diagonal,
 the Bareiss determinant that checks Smith transforms are unimodular,
 the seeded random graph generator, the divisibility chain
-m1 | m2 | m3 | r * m1, and the coboundary witness with its
-:class:`NotACycle`.
+m1 | m2 | m3 | r * m1, the coboundary witness with its
+:class:`NotACycle`, and the coboundary matrix and the containment of
+generators in an image modulo q, which with
+:func:`~nerongraph.homology.kernel_generators_mod` make the
+two-elimination oracle of the verifier's homology face.
 """
 
 from __future__ import annotations
@@ -48,9 +51,10 @@ from nerongraph import (
     solve_mod,
     thickness_subdivision,
 )
+from nerongraph import homology
 from nerongraph.enumeration import _canonical_pairs, _from_pairs, brute_force_c
 from nerongraph.graph import spanning_tree
-from nerongraph.homology import IntMatrix, coboundary_matrix
+from nerongraph.homology import IntMatrix
 
 
 class NotACycle(NeronGraphError):
@@ -67,6 +71,30 @@ def zeros(rows: int, cols: int) -> IntMatrix:
 def main_diagonal(a: IntMatrix) -> tuple[int, ...]:
     """The entries a[i, i], for i up to the smaller dimension."""
     return tuple(a[i, i] for i in range(min(a.rows, a.cols)))
+
+
+def coboundary_matrix(g: MultiGraph) -> IntMatrix:
+    """The coboundary map from 0-cochains to 1-cochains: a vertex goes to
+    the sum of edges ending at it minus the sum of edges starting at it.
+    With the canonical identification of chains and cochains this is the
+    transpose of the boundary matrix."""
+    rows = []
+    for tail, tip in g.endpoints:
+        row = [0] * g.n_vertices
+        if tail != tip:
+            row[tip] = 1
+            row[tail] = -1
+        rows.append(tuple(row))
+    return IntMatrix(rows, cols=g.n_vertices)
+
+
+def subgroup_contained_mod(
+    gens: Sequence[Sequence[int]], b_matrix: IntMatrix, q: int
+) -> bool:
+    """Whether every generator lies in the image of b_matrix modulo q,
+    each solved by :func:`~nerongraph.homology.solve_mod`.  An empty
+    generator list is vacuously contained."""
+    return all(solve_mod(b_matrix, gen, q) is not None for gen in gens)
 
 
 def determinant(a: IntMatrix) -> int:
@@ -490,22 +518,21 @@ def span_mod(gens, length: int, q: int) -> set[tuple[int, ...]]:
 
 def solve_exact(a: IntMatrix, b) -> tuple[int, ...] | None:
     """An integer solution of a x = b, or None."""
-    snf = smith_normal_form(a)
-    c = snf.u.apply(b)
-    diag = snf.diagonal
+    u, d, v = homology._eliminate(a)
+    c = u.apply(b)
     y = [0] * a.cols
     for i in range(a.rows):
-        d_i = diag[i] if i < len(diag) else 0
+        d_i = d[i, i] if i < a.cols else 0
         if d_i == 0:
             if c[i] != 0:
                 return None
         else:
             if c[i] % d_i != 0:
                 return None
-            if i < a.cols:
-                y[i] = c[i] // d_i
-    x = snf.v.apply(y)
-    assert a.apply(x) == tuple(b)
+            y[i] = c[i] // d_i
+    x = v.apply(y)
+    if a.apply(x) != tuple(b):
+        raise AssertionError("solve_exact: the Smith form gave a non-solution")
     return x
 
 
@@ -515,12 +542,12 @@ def phi_from_presentation(g: MultiGraph) -> tuple[int, ...]:
     """
     boundary = boundary_matrix(g)
     m = boundary * boundary.transpose()  # -M; same image lattice as M
-    snf = smith_normal_form(boundary)
-    image_basis_source = boundary * snf.v
+    _, d, v = homology._eliminate(boundary)
+    image_basis_source = boundary * v
     basis_cols = [
         image_basis_source.column(j)
-        for j, d in enumerate(snf.diagonal)
-        if d != 0
+        for j, d_j in enumerate(main_diagonal(d))
+        if d_j != 0
     ]
     basis = IntMatrix(
         [[col[i] for col in basis_cols] for i in range(boundary.rows)],
@@ -529,14 +556,16 @@ def phi_from_presentation(g: MultiGraph) -> tuple[int, ...]:
     coords = []
     for j in range(m.cols):
         x = solve_exact(basis, m.column(j))
-        assert x is not None, "inner lattice not contained in outer"
+        if x is None:
+            raise AssertionError("inner lattice not contained in outer")
         coords.append(x)
     coord_matrix = IntMatrix(
         [[vec[i] for vec in coords] for i in range(basis.cols)],
         cols=len(coords),
     )
     diag = smith_normal_form(coord_matrix).diagonal
-    assert all(d != 0 for d in diag), "quotient is infinite"
+    if not all(d != 0 for d in diag):
+        raise AssertionError("quotient is infinite")
     return tuple(d for d in diag if d > 1)
 
 

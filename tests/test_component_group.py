@@ -18,11 +18,12 @@ from nerongraph import (
 import nerongraph.homology as homology
 from nerongraph.component_group import homology_modulus
 from nerongraph.fixtures import fixture
-from nerongraph.homology import IntMatrix, boundary_matrix, coboundary_matrix
+from nerongraph.homology import IntMatrix, boundary_matrix
 
 from helpers import (
     NotACycle,
     banana,
+    coboundary_matrix,
     coboundary_witness,
     cycle_graph,
     loop_graph,

@@ -16,10 +16,10 @@ from nerongraph import (
     homological_criterion,
     is_full_r_torsion,
     phi_r_torsion,
-    smith_normal_form,
 )
 import nerongraph.enumeration as enumeration
 import nerongraph.homology as homology
+import nerongraph.invariants as invariants
 from nerongraph.enumeration import (
     _augmentations,
     _canonical_pairs,
@@ -29,13 +29,11 @@ from nerongraph.enumeration import (
     verify_equivalence,
 )
 from nerongraph.component_group import homology_modulus
-from nerongraph.homology import (
-    coboundary_matrix,
-    kernel_generators_mod,
-    subgroup_contained_mod,
-)
+from nerongraph.homology import kernel_generators_mod
 
 from helpers import (
+    coboundary_matrix,
+    subgroup_contained_mod,
     augmentations_by_child_ranks,
     canonical_pairs_by_permutations,
     connected_multigraphs_by_every_augmentation,
@@ -376,7 +374,7 @@ def test_per_graph_faces_match_the_per_call_criteria():
 
 def test_at_q_one_every_kernel_generator_drops_out():
     for g in connected_multigraphs(5):
-        assert smith_normal_form(boundary_matrix(g)).kernel_mod(1) == []
+        assert kernel_generators_mod(boundary_matrix(g), 1) == []
         assert _faces(g, 1) == [(True, True)]
 
 
@@ -390,6 +388,17 @@ def _inject(monkeypatch, fault):
             enumeration, "phi_group",
             lambda g: AbelianGroup(inner_phi(g).invariant_factors[1:]),
         )
+    elif fault == "Phi route drops a factor":
+        # The c face reads c off the Phi of analyze's own reduction.
+        inner_phi_and_c = invariants._phi_and_c
+
+        def phi_and_c(g):
+            factors = inner_phi_and_c(g)[0].invariant_factors[1:]
+            b1 = betti1(g)
+            c = factors[0] if b1 and len(factors) == b1 else min(b1, 1)
+            return AbelianGroup(factors), c
+
+        monkeypatch.setattr(invariants, "_phi_and_c", phi_and_c)
     elif fault == "homology modulus doubled":
         inner_h = enumeration.homology_modulus
         monkeypatch.setattr(
@@ -399,7 +408,9 @@ def _inject(monkeypatch, fault):
 
 
 @pytest.mark.parametrize(
-    "fault", [None, "c plus one", "torsion drops a factor", "homology modulus doubled"]
+    "fault",
+    [None, "c plus one", "torsion drops a factor", "Phi route drops a factor",
+     "homology modulus doubled"],
 )
 def test_a_faulty_face_yields_counterexamples(monkeypatch, fault):
     # The faces share per-graph work; a fault in one of them must still

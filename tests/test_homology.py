@@ -18,11 +18,9 @@ import nerongraph.homology as homology
 from nerongraph.graph import fundamental_cycle_basis
 from nerongraph.homology import (
     IntMatrix,
-    coboundary_matrix,
     cycle_pairing_matrix,
     kernel_generators_mod,
     kirchhoff_matrix,
-    subgroup_contained_mod,
 )
 
 from helpers import (
@@ -30,6 +28,7 @@ from helpers import (
     banana,
     brute_image_contains,
     brute_kernel,
+    coboundary_matrix,
     determinant,
     determinantal_divisors,
     loop_graph,
@@ -38,6 +37,7 @@ from helpers import (
     random_connected_multigraph,
     scrambled,
     span_mod,
+    subgroup_contained_mod,
     zeros,
 )
 
@@ -246,12 +246,12 @@ class TestCyclePairingMatrix:
 
 class TestSmithNormalForm:
     def test_identity(self):
-        snf = smith_normal_form(IntMatrix.identity(3))
-        assert snf.d == IntMatrix.identity(3)
+        assert smith_normal_form(IntMatrix.identity(3)).diagonal == (1, 1, 1)
+        assert homology._eliminate(IntMatrix.identity(3))[1] == IntMatrix.identity(3)
 
     def test_zero(self):
-        snf = smith_normal_form(zeros(2, 3))
-        assert snf.d == zeros(2, 3)
+        assert smith_normal_form(zeros(2, 3)).diagonal == (0, 0)
+        assert homology._eliminate(zeros(2, 3))[1] == zeros(2, 3)
 
     def test_square_cycle_intersection(self):
         from helpers import cycle_graph
@@ -261,24 +261,25 @@ class TestSmithNormalForm:
 
     def test_deterministic(self):
         entries = [[6, 4, 2], [4, 8, 0], [2, 0, 10]]
-        a = smith_normal_form(IntMatrix(entries))
-        b = smith_normal_form(IntMatrix([row[:] for row in entries]))
-        assert a.d == b.d and a.u == b.u and a.v == b.v
+        a = homology._eliminate(IntMatrix(entries))
+        b = homology._eliminate(IntMatrix([row[:] for row in entries]))
+        assert a == b
 
     @staticmethod
     def assert_valid(m):
-        snf = smith_normal_form(m)
-        assert snf.u * m * snf.v == snf.d
-        assert abs(determinant(snf.u)) == 1
-        assert abs(determinant(snf.v)) == 1
-        diag = snf.diagonal
-        assert all(d >= 0 for d in diag)
+        u, d, v = homology._eliminate(m)
+        assert u * m * v == d
+        assert abs(determinant(u)) == 1
+        assert abs(determinant(v)) == 1
+        diag = smith_normal_form(m).diagonal
+        assert diag == main_diagonal(d)
+        assert all(x >= 0 for x in diag)
         for a, b in zip(diag, diag[1:]):
             assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
-        for i in range(snf.d.rows):
-            for j in range(snf.d.cols):
+        for i in range(d.rows):
+            for j in range(d.cols):
                 if i != j:
-                    assert snf.d[i, j] == 0
+                    assert d[i, j] == 0
 
     @given(int_matrices())
     @settings(max_examples=200)
@@ -318,22 +319,16 @@ def invariant_factors(m):
 
 
 class TestSmithDiagonalOracle:
-    """The diagonal, computed without transforms, against the
-    determinantal divisors, in both orders of reading it and the
+    """The memoised diagonal, computed without transforms, against the
+    determinantal divisors and the D of the elimination with
     transforms."""
 
-    @given(small_matrices(), st.booleans())
+    @given(small_matrices())
     @settings(max_examples=300, deadline=None)
-    def test_diagonal_matches_determinantal_divisors(self, m, diagonal_first):
-        # A fresh decomposition, so the memo cannot decide the order.
-        snf = smith_normal_form.__wrapped__(m)
-        if diagonal_first:
-            diag = snf.diagonal
-            u, d, v = snf.u, snf.d, snf.v
-        else:
-            u = snf.u
-            diag = snf.diagonal
-            d, v = snf.d, snf.v
+    def test_diagonal_matches_determinantal_divisors(self, m):
+        # A fresh diagonal, not one the memo kept.
+        diag = smith_normal_form.__wrapped__(m).diagonal
+        u, d, v = homology._eliminate(m)
         assert diag == invariant_factors(m)
         assert smith_normal_form(m).diagonal == diag
         assert (d.rows, d.cols) == (m.rows, m.cols)
@@ -345,9 +340,9 @@ class TestSmithDiagonalOracle:
         assert abs(determinant(u)) == 1
         assert abs(determinant(v)) == 1
 
-    def test_transforms_computed_once(self, monkeypatch):
-        # The diagonal comes at once from its own loop; U, D and V come
-        # together on the first read of any of them, and only then.
+    def test_eliminate_runs_only_in_the_solvers(self, monkeypatch):
+        # The memo holds the diagonal of its own loop alone; each solver
+        # runs the elimination with transforms once, whatever q.
         calls = []
         for name in ("_smith_diagonal", "_eliminate"):
             inner = getattr(homology, name)
@@ -355,10 +350,15 @@ class TestSmithDiagonalOracle:
                 homology, name,
                 lambda a, name=name, inner=inner: calls.append(name) or inner(a),
             )
-        snf = smith_normal_form.__wrapped__(IntMatrix([[2, 4], [6, 9]]))
-        assert snf.diagonal == (1, 6) and calls == ["_smith_diagonal"]
-        assert snf.u is snf.u and snf.d is snf.d and snf.v is snf.v
-        assert calls == ["_smith_diagonal", "_eliminate"]
+        m = IntMatrix([[2, 4], [6, 9]])
+        assert smith_normal_form.__wrapped__(m).diagonal == (1, 6)
+        assert calls == ["_smith_diagonal"]
+        for solve in (lambda: solve_mod(m, (1, 0), 4),
+                      lambda: kernel_generators_mod(m, 12),
+                      lambda: kernel_generators_mod(m, 1)):
+            del calls[:]
+            solve()
+            assert calls == ["_eliminate"]
 
 
 def _unit_graph(rng: random.Random, n: int) -> MultiGraph:
@@ -507,15 +507,13 @@ class TestSolveMod:
             solve_mod(IntMatrix.identity(2), (1, 1, 1), 2)
 
     def test_wrong_decomposition_is_caught(self, monkeypatch):
-        # A Smith form that claims diag(1, 1) for diag(2, 3) yields the
-        # "solution" (1, 1), which the re-check must refuse.
-        import nerongraph.homology as homology
-
+        # An elimination that claims D = diag(1, 1) for diag(2, 3) with
+        # identity transforms yields the "solution" (1, 1), which the
+        # re-check must refuse.
         a = IntMatrix([[2, 0], [0, 3]])
         identity = IntMatrix.identity(2)
-        wrong = homology.SmithDecomposition(a)
-        wrong._diagonal, wrong._udv = (1, 1), (identity, identity, identity)
-        monkeypatch.setattr(homology, "smith_normal_form", lambda m: wrong)
+        monkeypatch.setattr(
+            homology, "_eliminate", lambda m: (identity, identity, identity))
         with pytest.raises(ArithmeticError, match="non-solution"):
             solve_mod(a, (1, 1), 4)
 

@@ -605,7 +605,7 @@ class TestAnalyzeReadsOnlyTheDiagonal:
     def test_guard_catches_both(self):
         with no_transforms_or_solve():
             with pytest.raises(AssertionError, match="transforms"):
-                smith_normal_form(IntMatrix([[2]])).u
+                nerongraph.homology.kernel_generators_mod(IntMatrix([[2]]), 2)
             with pytest.raises(AssertionError, match="solve_mod"):
                 nerongraph.solve_mod(IntMatrix([[2]]), (0,), 2)
 
