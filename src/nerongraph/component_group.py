@@ -9,20 +9,21 @@ order is the number of spanning trees, which gives an independent oracle
 via deletion-contraction.
 
 The homological criterion asks whether every cycle mod q is a coboundary
-mod q.  :func:`homology_modulus` answers it for every q at once: one
-elimination of the boundary matrix gives an integer h, checked in
-integers, and the criterion holds at q exactly when q divides h.
+mod q.  It holds at q exactly when q divides :func:`homology_modulus`,
+the gcd of the pairings of the fundamental cycles, which is checked in
+integers against the cycles' tree potentials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import mul
 from . import homology
 from .errors import BoundsTooLarge, MalformedSpectrum
-from .graph import MultiGraph, betti1
-from .homology import boundary_matrix, intersection_matrix, smith_normal_form
+from .graph import (
+    MultiGraph, betti1, fundamental_cycle_basis, signed_common_edges, spanning_tree,
+)
+from .homology import intersection_matrix, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,11 @@ def phi_group(g: MultiGraph) -> AbelianGroup:
 #: goes one level deeper per edge.
 MAX_TREE_COUNT_EDGES = 200
 
+#: Most memoised deletion-contraction states :func:`spanning_tree_count`
+#: builds, which bounds its time and memory: the 4 x 6 grid (38 edges)
+#: needs 124997 of them, the 5 x 5 grid (40 edges) 239344.
+MAX_TREE_COUNT_STATES = 2**17
+
 
 def spanning_tree_count(g: MultiGraph) -> int:
     """Number of spanning trees, by deletion-contraction.
@@ -97,7 +103,8 @@ def spanning_tree_count(g: MultiGraph) -> int:
     independent of the Smith-form route to |Phi|, so the two can
     cross-validate each other (the matrix-tree theorem).  Raises
     :class:`BoundsTooLarge` past :data:`MAX_TREE_COUNT_EDGES` non-loop
-    edges.
+    edges, or once the memo holds :data:`MAX_TREE_COUNT_STATES` states:
+    the edge count alone does not predict the work.
     """
     edges = tuple(sorted((min(u, v), max(u, v)) for u, v in g.endpoints if u != v))
     if len(edges) > MAX_TREE_COUNT_EDGES:
@@ -105,7 +112,7 @@ def spanning_tree_count(g: MultiGraph) -> int:
             f"spanning_tree_count takes at most {MAX_TREE_COUNT_EDGES} "
             f"non-loop edges, got {len(edges)}"
         )
-    vertices = frozenset(range(g.n_vertices))
+    vertices, size = frozenset(range(g.n_vertices)), len(edges)
     cache: dict[tuple, int] = {}
 
     def connects(edges_left, start, goal) -> bool:
@@ -143,6 +150,11 @@ def spanning_tree_count(g: MultiGraph) -> int:
         else:   # bridge: deletion contributes nothing
             result = merged
         cache[key] = result
+        if len(cache) > MAX_TREE_COUNT_STATES:
+            raise BoundsTooLarge(
+                f"spanning_tree_count builds at most {MAX_TREE_COUNT_STATES} "
+                f"states, too few for these {size} non-loop edges"
+            )
         return result
 
     return count(vertices, edges)
@@ -179,54 +191,52 @@ def homology_modulus(g: MultiGraph) -> int:
     """The integer h such that every cycle mod q is a coboundary mod q
     exactly when q divides h; 0 when b1 = 0, so that every q passes.
 
-    One elimination U B V = D of the boundary matrix B answers every q.
-    D must be diag(1, ..., 1, 0, ...) with rho = |V| - 1 ones, as it is
-    for every connected graph; then the columns v_j of V with j >= rho
-    are a Z-basis of ker B, and V^T C U^T = D^T for the coboundary
-    C = B^T.  With w_j = V^T v_j, C x = v_j (mod q) is solvable exactly
-    when q divides every w_j[i] with i >= rho, and
-    z_j = U^T (w_j[0], ..., w_j[rho - 1], 0, ...) solves it for every
-    such q.  So h is the gcd of those entries, which are the pairings
-    v_i . v_j of the kernel basis: h is the circuit invariant c of the
-    graph as given, thicknesses ignored.
-
-    Each answer is checked in integers: B v_j = 0, and every entry of
-    C z_j - v_j is divisible by h (zero when h = 0), which covers every
-    q dividing h at once.  :class:`ArithmeticError` means the
-    decomposition was wrong.
+    The cuts are the orthogonal complement of the cycles (Bacher, de la
+    Harpe and Nagnibeda, 1997), so h is the gcd of the pairings
+    <z_i, z_j>, i <= j, of the fundamental cycles, thicknesses ignored:
+    the circuit invariant c of the graph as given.  Both directions are
+    checked in integers.  Each z_j must be a cycle meeting one non-tree
+    edge, its own, with +-1, so <delta x, z_j> = <x, boundary z_j> = 0
+    for every x and q not dividing <z_i, z_j> proves z_i no coboundary
+    mod q.  The tree potential x_j (0 at the root, stepping by z_j along
+    the tree) has delta x_j - z_j zero on the tree and -<z_j, z_f> at
+    each non-tree edge f, so z_j is a coboundary mod every q dividing
+    these; their gcd, from the potentials alone, must be h.
+    :class:`ArithmeticError` means the basis or its pairings were wrong.
     """
-    u, d, v = homology._eliminate(boundary_matrix(g))
-    diagonal = [d[i, i] for i in range(min(d.rows, d.cols))]
-    rank = next((i for i, x in enumerate(diagonal) if x != 1), len(diagonal))
-    if rank != g.n_vertices - 1 or any(diagonal[rank:]):
+    parent, endpoints = spanning_tree(g), g.endpoints
+    tree = {ei for _, ei in parent.values()}
+    basis = fundamental_cycle_basis(g)
+    chords, bad = set(), False
+    for z in basis:
+        boundary = [0] * g.n_vertices
+        for ei, x in z.items():
+            boundary[endpoints[ei][1]] += x
+            boundary[endpoints[ei][0]] -= x
+        own = [ei for ei in z if ei not in tree]
+        bad = bad or any(boundary) or len(own) != 1 or abs(z[own[0]]) != 1
+        chords.update(own)
+    if bad or not len(basis) == len(chords) == betti1(g):
         raise ArithmeticError(
-            "homology_modulus: the boundary's Smith diagonal is not "
-            "|V| - 1 ones then zeros"
+            "homology_modulus: not one fundamental cycle per non-tree edge"
         )
-    vt, ut = v.transpose(), u.transpose()
-    v_columns = [vt.row(j) for j in range(vt.rows)]
-    u_columns = [ut.row(k) for k in range(ut.rows)]
-    kernel = v_columns[rank:]
-    pairings = [[sum(map(mul, c, v_j)) for c in v_columns] for v_j in kernel]
     h = 0
-    for w_j in pairings:
-        h = gcd(h, *w_j[rank:])
-    # B and C are applied from the edge endpoints, as boundary_matrix
-    # fills them: a loop's column of B is zero.
-    endpoints = g.endpoints
-    for v_j, w_j in zip(kernel, pairings):
-        y = w_j[:rank]
-        z_j = [sum(map(mul, c, y)) for c in u_columns]
-        cycle = [0] * g.n_vertices
-        for (tail, tip), x in zip(endpoints, v_j):
-            cycle[tip] += x
-            cycle[tail] -= x
-        residue = [z_j[tip] - z_j[tail] - x for (tail, tip), x in zip(endpoints, v_j)]
-        if any(cycle) or any(r % h if h else r for r in residue):
-            raise ArithmeticError(
-                "homology_modulus: the boundary's decomposition gave a "
-                "non-cycle or a non-solution"
-            )
+    for i, a in enumerate(basis):
+        for b in basis[i:]:
+            h = gcd(h, signed_common_edges(a, b))
+    residues = 0
+    for z in basis:
+        x = [0] * g.n_vertices
+        for child, (up, ei) in parent.items():  # parents come first
+            step = z.get(ei, 0)
+            x[child] = x[up] + step if endpoints[ei][1] == child else x[up] - step
+        for f in chords:
+            tail, tip = endpoints[f]
+            residues = gcd(residues, x[tip] - x[tail] - z.get(f, 0))
+    if residues != h:
+        raise ArithmeticError(
+            f"homology_modulus: the pairings give {h}, the tree potentials {residues}"
+        )
     return h
 
 

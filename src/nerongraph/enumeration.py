@@ -32,8 +32,8 @@ all of (Z/q)^b1 -- plus the agreement of the circuit invariant read
 off the component group with the brute-force gcd over all pairs of
 circuits, taken as signed edge vectors (:func:`brute_force_c`).  Any
 disagreement is reported as a counterexample.  Each graph's linear
-algebra is done once and serves every q: one elimination of its
-boundary matrix gives the integer whose divisors are the q of the
+algebra is done once and serves every q: the pairings of its
+fundamental cycles give the integer whose divisors are the q of the
 homology face (:func:`~nerongraph.component_group.homology_modulus`),
 and Phi and b1 are taken once.  Per q only a divisibility test and
 Phi[q] remain.
@@ -52,7 +52,7 @@ from .errors import BoundsTooLarge
 from .graph import MultiGraph, betti1, enumerate_circuits, signed_common_edges
 from .invariants import circuit_invariant_c
 
-MAX_ENUMERATION_EDGES = 8
+MAX_ENUMERATION_EDGES = 9
 MAX_ENUMERATION_Q = 12
 
 Pair = tuple[int, int]

@@ -21,9 +21,8 @@ and :func:`smith_normal_form` memoises that diagonal and nothing else.
 :func:`_eliminate` computes D with the unimodular transforms U and V;
 it takes its pivots by the same rule (:func:`_unit_pivot`) and updates
 rows only at the support of the row it adds.  It runs outside the memo,
-once per call, in the solvers modulo q and in the verifier's homology
-face (:func:`~nerongraph.component_group.homology_modulus`), each of
-which reads the diagonal off the same D as its U and V.
+once per call, in the solvers modulo q alone, each of which reads the
+diagonal off the same D as its U and V.
 
 Everything is computed with Python's arbitrary-precision integers; no
 floating point is used anywhere.  Smith reduction of integer Laplacians

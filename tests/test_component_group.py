@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -15,10 +16,11 @@ from nerongraph import (
     solve_mod,
     spanning_tree_count,
 )
-import nerongraph.homology as homology
+import nerongraph.component_group as component_group
 from nerongraph.component_group import homology_modulus
+from nerongraph.errors import BoundsTooLarge
 from nerongraph.fixtures import fixture
-from nerongraph.homology import IntMatrix, boundary_matrix
+from nerongraph.homology import IntMatrix
 
 from helpers import (
     NotACycle,
@@ -117,6 +119,19 @@ class TestSpanningTreeCount:
         with pytest.raises(NeronGraphError, match=str(MAX_TREE_COUNT_EDGES)):
             spanning_tree_count(cycle_graph(1200))
 
+    def test_grid_refused_by_its_work_within_seconds(self):
+        # The 5 x 6 grid has only 49 edges but ran 92 s before its memo
+        # was bounded; it is refused once the memo is full.
+        cells = [(i, j) for i in range(5) for j in range(6)]
+        edges = [(cells.index(a), cells.index(b))
+                 for a in cells for b in ((a[0] + 1, a[1]), (a[0], a[1] + 1)) if b in cells]
+        g = MultiGraph(range(30), [(k, a, b) for k, (a, b) in enumerate(edges)])
+        assert g.n_edges == 49
+        start = time.process_time()
+        with pytest.raises(BoundsTooLarge, match="edges"):
+            spanning_tree_count(g)
+        assert time.process_time() - start < 30
+
 
 class TestPhiTorsion:
     def test_banana_two_torsion(self):
@@ -171,31 +186,50 @@ class TestHomologyModulus:
         assert homology_modulus(cycle_graph(4)) == 4
         assert homology_modulus(theta(3)) == 1
 
-    @pytest.mark.parametrize("which", ["u", "d", "v"])
-    def test_a_corrupted_decomposition_raises(self, monkeypatch, which):
-        # On the 4-cycle (h = 4) one entry changed by one is caught in
-        # every place that can change the answer: each entry of V, each
-        # diagonal entry of D, and each entry of the rows of U that meet
-        # the ones of D.  The last row of U meets D's zero and no z_j
-        # reads it.
-        g = cycle_graph(4)
-        inner = homology._eliminate
-        udv = inner(boundary_matrix(g))
-        k = "udv".index(which)
-        m = udv[k]
-        if which == "d":
-            cells = [(i, i) for i in range(m.rows)]
-        else:
-            cells = [(i, j) for i in range(m.rows - (which == "u")) for j in range(m.cols)]
-        for i, j in cells:
-            rows = m.row_list()
-            rows[i][j] += 1
-            wrong = udv[:k] + (IntMatrix(rows),) + udv[k + 1:]
-            monkeypatch.setattr(homology, "_eliminate", lambda a, wrong=wrong: wrong)
-            with pytest.raises(ArithmeticError, match="homology_modulus"):
-                homology_modulus(g)
-        monkeypatch.setattr(homology, "_eliminate", inner)
-        assert homology_modulus(g) == 4
+    def test_a_corrupted_basis_raises(self, monkeypatch):
+        # Each coefficient of each basis cycle, on every edge, changed by
+        # one either way, and each cycle dropped: every change is caught.
+        # On a loop beside a banana (h = 1) the loop's cycle doubled is
+        # still a cycle, and without the check that each basis vector
+        # meets its own non-tree edge with +-1 the pairings and the
+        # potentials would agree on h = 2.
+        inner = component_group.fundamental_cycle_basis
+        loop_and_banana = MultiGraph(
+            ["v0", "v1"], [("l", "v0", "v0"), ("e0", "v0", "v1"), ("e1", "v0", "v1")]
+        )
+        for g, h in ((cycle_graph(4), 4), (theta(3), 1), (loop_and_banana, 1)):
+            basis = inner(g)
+            wrongs = [basis[:j] + basis[j + 1:] for j in range(len(basis))]
+            for j, z in enumerate(basis):
+                for ei in range(g.n_edges):
+                    for step in (1, -1):
+                        wrong = [dict(y) for y in basis]
+                        wrong[j][ei] = z.get(ei, 0) + step
+                        wrongs.append(wrong)
+            for wrong in wrongs:
+                monkeypatch.setattr(
+                    component_group, "fundamental_cycle_basis", lambda g, wrong=wrong: wrong
+                )
+                with pytest.raises(ArithmeticError, match="homology_modulus"):
+                    homology_modulus(g)
+            monkeypatch.setattr(component_group, "fundamental_cycle_basis", inner)
+            assert homology_modulus(g) == h
+
+    def test_a_faulty_pairing_cannot_change_the_answer(self, monkeypatch):
+        # The tree potentials give the gcd of the pairings a second time,
+        # without signed_common_edges.  With each self-pairing off by one
+        # either way, a graph with b1 = 1, whose h is its one pairing,
+        # raises; theta(3) keeps h = 1 and its answer.
+        inner = component_group.signed_common_edges
+        for step in (1, -1):
+            monkeypatch.setattr(
+                component_group, "signed_common_edges",
+                lambda a, b, step=step: inner(a, b) + (step if a is b else 0),
+            )
+            for g in (loop_graph(), banana(), cycle_graph(4)):
+                with pytest.raises(ArithmeticError, match="homology_modulus"):
+                    homology_modulus(g)
+            assert homology_modulus(theta(3)) == 1
 
 
 class TestCoboundaryWitness:

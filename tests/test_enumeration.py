@@ -29,6 +29,7 @@ from nerongraph.enumeration import (
     verify_equivalence,
 )
 from nerongraph.component_group import homology_modulus
+from nerongraph.graph import fundamental_cycle_basis, spanning_tree
 from nerongraph.homology import kernel_generators_mod
 
 from helpers import (
@@ -344,8 +345,8 @@ def test_eight_edge_count():
 
 
 def test_verify_bounds_guarded():
-    with pytest.raises(BoundsTooLarge, match="between 1 and 8"):
-        verify_equivalence(max_edges=9)
+    with pytest.raises(BoundsTooLarge, match="between 1 and 9"):
+        verify_equivalence(max_edges=10)
     with pytest.raises(BoundsTooLarge):
         verify_equivalence(max_edges=30)
     with pytest.raises(BoundsTooLarge):
@@ -420,49 +421,63 @@ def test_a_faulty_face_yields_counterexamples(monkeypatch, fault):
     assert report.ok == (fault is None)
 
 
-def test_one_elimination_per_graph(monkeypatch):
-    counts = []
-    inner_eliminate = homology._eliminate
-    inner_graphs = enumeration.connected_multigraphs
-
-    def eliminate(a):
-        counts[-1] += 1
-        return inner_eliminate(a)
-
-    def graphs(max_edges):
-        for g in inner_graphs(max_edges):
-            counts.append(0)
-            yield g
-
-    monkeypatch.setattr(homology, "_eliminate", eliminate)
-    monkeypatch.setattr(enumeration, "connected_multigraphs", graphs)
-    homology.smith_normal_form.cache_clear()
-    report = verify_equivalence(max_edges=5, max_q=6)
-    assert report.ok and len(counts) == report.total_graphs
-    assert max(counts) == 1
+def _patch_everywhere(monkeypatch, name, inner, replacement):
+    """Point every nerongraph module that binds ``inner`` as ``name`` at
+    ``replacement``; returns the names of those modules."""
+    patched = set()
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("nerongraph") and getattr(module, name, None) is inner:
+            monkeypatch.setattr(module, name, replacement)
+            patched.add(module_name)
+    return patched
 
 
-def test_no_diagonal_only_pass_on_the_boundary(monkeypatch):
-    # The homology face reads the boundary's diagonal off the D of its
-    # one elimination; the diagonal-only loop runs only on the
-    # presentations of Phi.
-    boundaries, reduced = [], []
-    inner_boundary, inner_diagonal = homology.boundary_matrix, homology._smith_diagonal
-
-    def boundary(g):
-        boundaries.append(inner_boundary(g))
-        return boundaries[-1]
-
-    for module in [m for n, m in sys.modules.items() if n.startswith("nerongraph")]:
-        if getattr(module, "boundary_matrix", None) is inner_boundary:
-            monkeypatch.setattr(module, "boundary_matrix", boundary)
+def test_verify_runs_no_elimination_and_builds_no_boundary(monkeypatch):
+    # The homology face is read off the spanning tree and the torsion
+    # and c faces off the presentations of Phi, so the verifier runs no
+    # elimination with transforms and builds no boundary matrix.
+    calls = []
+    inner_eliminate, inner_boundary = homology._eliminate, homology.boundary_matrix
     monkeypatch.setattr(
-        homology, "_smith_diagonal", lambda a: reduced.append(a) or inner_diagonal(a)
+        homology, "_eliminate", lambda a: calls.append("_eliminate") or inner_eliminate(a)
+    )
+    _patch_everywhere(
+        monkeypatch, "boundary_matrix", inner_boundary,
+        lambda g: calls.append("boundary_matrix") or inner_boundary(g),
     )
     homology.smith_normal_form.cache_clear()
     report = verify_equivalence(max_edges=5, max_q=6)
-    assert report.ok and len(boundaries) == report.total_graphs and reduced
-    assert not {id(m) for m in boundaries} & {id(a) for a in reduced}
+    assert report.ok and report.total_graphs == 143
+    assert calls == []
+
+
+def test_a_faulty_cycle_basis_cannot_pass(monkeypatch):
+    # The homology face and the Gram route of the c face share the
+    # fundamental cycle basis.  With one tree-edge sign of the last cycle
+    # flipped wherever b1 >= 2, the run must stop or show a
+    # counterexample; it must never pass.
+    inner = fundamental_cycle_basis
+
+    def flipped(g):
+        basis = inner(g)
+        if len(basis) >= 2:
+            tree = {ei for _, ei in spanning_tree(g).values()}
+            last = basis[-1]
+            ei = next((ei for ei in last if ei in tree), None)
+            if ei is not None:
+                last[ei] = -last[ei]
+        return basis
+
+    patched = _patch_everywhere(monkeypatch, "fundamental_cycle_basis", inner, flipped)
+    assert {"nerongraph.component_group", "nerongraph.invariants"} <= patched
+    homology.smith_normal_form.cache_clear()
+    try:
+        report = verify_equivalence(max_edges=4, max_q=4)
+    except ArithmeticError:
+        return
+    finally:
+        homology.smith_normal_form.cache_clear()
+    assert not report.ok
 
 
 def _check_homology_modulus(g):
