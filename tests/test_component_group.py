@@ -17,10 +17,11 @@ from nerongraph import (
     spanning_tree_count,
 )
 import nerongraph.component_group as component_group
+import nerongraph.homology as homology
 from nerongraph.component_group import homology_modulus
 from nerongraph.errors import BoundsTooLarge
 from nerongraph.fixtures import fixture
-from nerongraph.homology import IntMatrix
+from nerongraph.homology import IntMatrix, boundary_matrix, kernel_generators_mod
 
 from helpers import (
     NotACycle,
@@ -32,6 +33,7 @@ from helpers import (
     path_graph,
     phi_from_presentation,
     random_connected_multigraph,
+    subgroup_contained_mod,
     theta,
 )
 
@@ -230,6 +232,45 @@ class TestHomologyModulus:
                 with pytest.raises(ArithmeticError, match="homology_modulus"):
                     homology_modulus(g)
             assert homology_modulus(theta(3)) == 1
+
+    @pytest.mark.parametrize("which", ["u", "d", "v"])
+    def test_a_corrupted_decomposition_raises(self, monkeypatch, which):
+        # homology_modulus reads no elimination; it is held to the route
+        # of two, the boundary's kernel mod q solved against the
+        # coboundary.  On the 4-cycle (h = 4) one entry of the
+        # coboundary's U a V = D changed by one is caught by that
+        # cross-check in every place that solve_mod reads: each entry of
+        # U, each diagonal entry of D, and each entry of the columns of V
+        # that meet the ones of D.  The last column of V meets D's zero.
+        g = cycle_graph(4)
+        boundary, delta = boundary_matrix(g), coboundary_matrix(g)
+
+        def held_to_two_eliminations():
+            for q in range(1, 13):
+                gens = kernel_generators_mod(boundary, q)
+                if (4 % q == 0) != subgroup_contained_mod(gens, delta, q):
+                    raise ArithmeticError(f"two eliminations disagree with h = 4 at q = {q}")
+
+        inner = homology._eliminate
+        udv = inner(delta)
+        k = "udv".index(which)
+        m = udv[k]
+        if which == "d":
+            cells = [(i, i) for i in range(m.rows)]
+        else:
+            cells = [(i, j) for i in range(m.rows) for j in range(m.cols - (which == "v"))]
+        for i, j in cells:
+            rows = m.row_list()
+            rows[i][j] += 1
+            wrong = udv[:k] + (IntMatrix(rows),) + udv[k + 1:]
+            monkeypatch.setattr(
+                homology, "_eliminate", lambda a, wrong=wrong: wrong if a == delta else inner(a)
+            )
+            assert homology_modulus(g) == 4
+            with pytest.raises(ArithmeticError):
+                held_to_two_eliminations()
+        monkeypatch.setattr(homology, "_eliminate", inner)
+        held_to_two_eliminations()
 
 
 class TestCoboundaryWitness:

@@ -432,23 +432,57 @@ def _patch_everywhere(monkeypatch, name, inner, replacement):
     return patched
 
 
-def test_verify_runs_no_elimination_and_builds_no_boundary(monkeypatch):
+def _per_graph(monkeypatch):
+    """Lists that gain one entry per graph the verifier draws, each the
+    list of calls made while that graph is checked, and the graphs."""
+    per_graph, graphs = [], []
+    inner_graphs = enumeration.connected_multigraphs
+
+    def counted(max_edges):
+        for g in inner_graphs(max_edges):
+            per_graph.append([])
+            graphs.append(g)
+            yield g
+
+    monkeypatch.setattr(enumeration, "connected_multigraphs", counted)
+    return per_graph, graphs
+
+
+def test_one_elimination_per_graph(monkeypatch):
+    # The budget is at most one elimination with transforms per graph.
     # The homology face is read off the spanning tree and the torsion
-    # and c faces off the presentations of Phi, so the verifier runs no
-    # elimination with transforms and builds no boundary matrix.
-    calls = []
-    inner_eliminate, inner_boundary = homology._eliminate, homology.boundary_matrix
-    monkeypatch.setattr(
-        homology, "_eliminate", lambda a: calls.append("_eliminate") or inner_eliminate(a)
-    )
+    # and c faces off the diagonals of the presentations of Phi, so no
+    # graph spends any of it.
+    per_graph, _ = _per_graph(monkeypatch)
+    inner = homology._eliminate
+    monkeypatch.setattr(homology, "_eliminate", lambda a: per_graph[-1].append(a) or inner(a))
+    homology.smith_normal_form.cache_clear()
+    report = verify_equivalence(max_edges=5, max_q=6)
+    assert report.ok and report.total_graphs == 143 == len(per_graph)
+    assert max(len(calls) for calls in per_graph) == 0
+
+
+def test_no_diagonal_only_pass_on_the_boundary(monkeypatch):
+    # The diagonal-only loop runs on the presentations of Phi and never
+    # on a boundary matrix: none is built, and no matrix it reduces
+    # equals the boundary of the graph being checked.
+    per_graph, graphs = _per_graph(monkeypatch)
+    built = []
+    inner_boundary, inner_diagonal = homology.boundary_matrix, homology._smith_diagonal
     _patch_everywhere(
         monkeypatch, "boundary_matrix", inner_boundary,
-        lambda g: calls.append("boundary_matrix") or inner_boundary(g),
+        lambda g: built.append(g) or inner_boundary(g),
+    )
+    monkeypatch.setattr(
+        homology, "_smith_diagonal", lambda a: per_graph[-1].append(a) or inner_diagonal(a)
     )
     homology.smith_normal_form.cache_clear()
     report = verify_equivalence(max_edges=5, max_q=6)
-    assert report.ok and report.total_graphs == 143
-    assert calls == []
+    assert report.ok and len(per_graph) == report.total_graphs and not built
+    assert any(per_graph)
+    for g, reduced in zip(graphs, per_graph):
+        boundary = inner_boundary(g)
+        assert all(a != boundary for a in reduced)
 
 
 def test_a_faulty_cycle_basis_cannot_pass(monkeypatch):
