@@ -17,6 +17,7 @@ integers against the cycles' tree potentials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import gcd, prod
 from . import homology
 from .errors import BoundsTooLarge, MalformedSpectrum
@@ -201,8 +202,11 @@ def homology_modulus(g: MultiGraph) -> int:
     mod q.  The tree potential x_j (0 at the root, stepping by z_j along
     the tree) has delta x_j - z_j zero on the tree and -<z_j, z_f> at
     each non-tree edge f, so z_j is a coboundary mod every q dividing
-    these; their gcd, from the potentials alone, must be h.
-    :class:`ArithmeticError` means the basis or its pairings were wrong.
+    these; their gcd, from the potentials alone, must be h.  Each gcd
+    stops once it is 1, which no further term can change, so both
+    compare as if taken in full: a residue gcd of 1 against h != 1
+    still raises.  :class:`ArithmeticError` means the basis or its
+    pairings were wrong.
     """
     parent, endpoints = spanning_tree(g), g.endpoints
     tree = {ei for _, ei in parent.values()}
@@ -221,9 +225,10 @@ def homology_modulus(g: MultiGraph) -> int:
             "homology_modulus: not one fundamental cycle per non-tree edge"
         )
     h = 0
-    for i, a in enumerate(basis):
-        for b in basis[i:]:
-            h = gcd(h, signed_common_edges(a, b))
+    for a, b in combinations_with_replacement(basis, 2):
+        h = gcd(h, signed_common_edges(a, b))
+        if h == 1:
+            break  # a gcd of 1 cannot change
     residues = 0
     for z in basis:
         x = [0] * g.n_vertices
@@ -233,6 +238,8 @@ def homology_modulus(g: MultiGraph) -> int:
         for f in chords:
             tail, tip = endpoints[f]
             residues = gcd(residues, x[tip] - x[tail] - z.get(f, 0))
+        if residues == 1:
+            break
     if residues != h:
         raise ArithmeticError(
             f"homology_modulus: the pairings give {h}, the tree potentials {residues}"

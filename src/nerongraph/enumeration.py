@@ -29,8 +29,9 @@ a bound, the three faces of the finiteness criterion -- q divides the
 circuit invariant, the kernel of the boundary map mod q lies in the
 image of the coboundary map, and the q-torsion of the component group is
 all of (Z/q)^b1 -- plus the agreement of the circuit invariant read
-off the component group with the brute-force gcd over all pairs of
-circuits, taken as signed edge vectors (:func:`brute_force_c`).  Any
+off the component group with the brute-force gcd over the pairs of
+circuits, taken as signed edge vectors (:func:`brute_force_c`), which
+finds the circuits one at a time and stops once the gcd is 1.  Any
 disagreement is reported as a counterexample.  Each graph's linear
 algebra is done once and serves every q: the pairings of its
 fundamental cycles give the integer whose divisors are the q of the
@@ -43,13 +44,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd
 from typing import Iterator, Sequence
 
 from .component_group import homology_modulus, is_full_torsion, phi_group
 from .errors import BoundsTooLarge
-from .graph import MultiGraph, betti1, enumerate_circuits, signed_common_edges
+from .graph import MultiGraph, betti1, iter_circuits, signed_common_edges
 from .invariants import circuit_invariant_c
 
 MAX_ENUMERATION_EDGES = 9
@@ -284,16 +285,22 @@ class EquivalenceReport:
 def brute_force_c(g: MultiGraph) -> int:
     """The circuit invariant of the graph as given, thicknesses ignored:
     the gcd of |signed_common_edges(a, b)| over all pairs of the signed
-    edge vectors of :func:`~nerongraph.graph.enumerate_circuits`, a
-    circuit paired with itself included; 0 when there are none.  Applied
-    to the thickness subdivision it gives c of the regular model,
-    independently of the component group that
+    edge vectors of :func:`~nerongraph.graph.iter_circuits`, a circuit
+    paired with itself included; 0 when there are none.  Each circuit is
+    paired, as it is found, with itself and every one found before it,
+    and the search stops once the gcd is 1, which no pairing can change;
+    so :class:`~nerongraph.errors.TooManyCircuits` is raised only when
+    the limit is passed before the gcd reaches 1.  Applied to the
+    thickness subdivision it gives c of the regular model, independently
+    of the component group that
     :func:`~nerongraph.invariants.circuit_invariant_c` reads."""
-    circuits = enumerate_circuits(g)
-    return reduce(gcd, (
-        abs(signed_common_edges(a, b))
-        for i, a in enumerate(circuits) for b in circuits[i:]
-    ), 0)
+    c, circuits = 0, []
+    for a in iter_circuits(g):
+        circuits.append(a)
+        c = gcd(c, *(signed_common_edges(a, b) for b in circuits))
+        if c == 1:
+            break
+    return c
 
 
 def _faces(g: MultiGraph, max_q: int) -> list[tuple[bool, bool]]:

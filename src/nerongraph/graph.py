@@ -26,9 +26,10 @@ cycle here, is a sparse signed edge vector ``{edge index: +1 or -1}``:
 the edges it traverses forwards or backwards.  Its edge set determines
 it, and the dot product of two vectors (:func:`signed_common_edges`)
 counts the edges the two circuits share, with signs recording whether
-the orientations agree.  :func:`enumerate_circuits` serves the
-brute-force verifier, the test oracles and the demos; the analysis
-builds no circuit.
+the orientations agree.  :func:`iter_circuits` yields the circuits one
+at a time, as they are closed, to the brute-force verifier, which stops
+once its gcd is 1; :func:`enumerate_circuits` sorts them for the test
+oracles and the demos.  The analysis builds no circuit.
 
 Graphs are immutable after construction and all operations are pure
 (the vectors they return are fresh dicts), so everything in this module
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -55,7 +56,7 @@ from .errors import (
 VertexId = int | str
 EdgeId = int | str
 
-#: Default cap for :func:`enumerate_circuits`; circuit counts grow
+#: Default cap for :func:`iter_circuits`; circuit counts grow
 #: exponentially and this tool targets desk-scale dual graphs.
 DEFAULT_CIRCUIT_LIMIT = 10**6
 
@@ -348,41 +349,43 @@ def signed_common_edges(a: Mapping[int, int], b: Mapping[int, int]) -> int:
     return sum(sign * b[ei] for ei, sign in a.items() if ei in b)
 
 
-def enumerate_circuits(
+def iter_circuits(
     g: MultiGraph, limit: int = DEFAULT_CIRCUIT_LIMIT
-) -> list[dict[int, int]]:
-    """All circuits of the graph, as signed edge vectors ``{edge index:
-    +1 or -1}`` oriented so that the least edge index has +1.
+) -> Iterator[dict[int, int]]:
+    """Every circuit of the graph once, as it is closed, as a signed edge
+    vector ``{edge index: +1 or -1}`` oriented so that the least edge
+    index has +1 and listing its edges in increasing index.
 
     A circuit's edge set determines it, so a circuit and its reversal
-    count once.  Loops give length-1 circuits and parallel edges give
-    length-2 circuits.  The vectors list their edges in increasing
-    index, and the circuits come sorted by those lists.  Raises
-    :class:`TooManyCircuits` when more than ``limit`` distinct circuits
-    exist.
+    count once.  The loops come first, as length-1 circuits; parallel
+    edges give length-2 circuits.  Raises :class:`TooManyCircuits` when
+    a circuit past the first ``limit`` is closed.
     """
-    found: dict[frozenset[int], dict[int, int]] = {}
-
-    def add(steps: list[tuple[int, int]]) -> None:
+    seen: set[frozenset[int]] = set()
+    for steps in _closed_walks(g):
         key = frozenset(ei for ei, _ in steps)
-        if key not in found:
-            if len(found) >= limit:
+        if key not in seen:
+            if len(seen) >= limit:
                 raise TooManyCircuits(f"more than {limit} circuits")
+            seen.add(key)
             flip = min(steps)[1]  # the direction of the least edge index
-            found[key] = {ei: d * flip for ei, d in sorted(steps)}
+            yield {ei: d * flip for ei, d in sorted(steps)}
 
+
+def _closed_walks(g: MultiGraph) -> Iterator[list[tuple[int, int]]]:
+    """The circuits of :func:`iter_circuits` as ``(edge index,
+    direction)`` steps: each loop, then the vertex-simple paths from each
+    vertex s through vertices > s, closing at s, walked depth first with
+    an explicit stack so that a long cycle cannot pass the interpreter's
+    recursion limit.  Each circuit arises from its least vertex once per
+    direction; only the direction whose first edge index is below its
+    closing one is closed."""
     for loops in g._loops_at:
         for ei in loops:
-            add([(ei, 1)])
+            yield [(ei, 1)]
 
     endpoints, adjacency = g.endpoints, g._adjacency
     for s in range(g.n_vertices):
-        # Vertex-simple paths from s through vertices > s, closing at s,
-        # walked depth first with an explicit stack so that a long cycle
-        # cannot pass the interpreter's recursion limit.  Each circuit
-        # arises from its least vertex once per direction; only the
-        # direction whose first edge index is below its closing one is
-        # closed.
         path: list[tuple[int, int, int]] = []  # (edge index, direction, vertex reached)
         stack = [iter(adjacency[s])]
         used_edges: set[int] = set()
@@ -394,7 +397,7 @@ def enumerate_circuits(
                     continue
                 if w == s and path and path[0][0] < ei:
                     direction = 1 if endpoints[ei][0] == u else -1
-                    add([(j, d) for j, d, _ in path] + [(ei, direction)])
+                    yield [(j, d) for j, d, _ in path] + [(ei, direction)]
                 elif w > s and w not in on_path:
                     direction = 1 if endpoints[ei][0] == u else -1
                     path.append((ei, direction, w))
@@ -409,7 +412,14 @@ def enumerate_circuits(
                     used_edges.remove(ei)
                     on_path.remove(w)
 
-    return [found[key] for key in sorted(found, key=sorted)]
+
+def enumerate_circuits(
+    g: MultiGraph, limit: int = DEFAULT_CIRCUIT_LIMIT
+) -> list[dict[int, int]]:
+    """All circuits of :func:`iter_circuits`, sorted by their lists of
+    edge indices.  Raises :class:`TooManyCircuits` when more than
+    ``limit`` distinct circuits exist."""
+    return sorted(iter_circuits(g, limit), key=sorted)
 
 
 def spanning_tree(g: MultiGraph) -> Mapping[int, tuple[int, int]]:

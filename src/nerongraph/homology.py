@@ -12,10 +12,12 @@ tip index)`` of every edge in ``MultiGraph.endpoints`` and the
 thicknesses by edge index in ``MultiGraph.thicknesses``.
 
 Two loops compute the Smith form.  :func:`_smith_diagonal` computes the
-diagonal alone: it clears each pivot's column by Euclid, which changes
-a row below only at the nonzero columns of the pivot row, and the
-pivot's row modulo the pivot, skips the divisibility step and puts the
-diagonal in divisibility order at the end by pairwise gcd and lcm.
+diagonal alone: it clears each pivot's column by Euclid with quotients
+rounded to the nearest integer (Havas and Majewski, 1997), which
+changes a row below only at the nonzero columns of the pivot row, and
+the pivot's row to balanced remainders modulo the pivot, skips the
+divisibility step and puts the diagonal in divisibility order at the
+end by pairwise gcd and lcm.
 The invariant factors (and so the component group) need nothing more,
 and :func:`smith_normal_form` memoises that diagonal and nothing else.
 :func:`_eliminate` computes D with the unimodular transforms U and V;
@@ -177,18 +179,20 @@ def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
 
     Step t takes as pivot the first ±1 of the first row that holds one,
     or else the smallest nonzero absolute value, and moves it to (t, t).
-    Euclid clears column t: every row below is reduced by floor division
-    and the row with the smallest remainder becomes row t, until the
-    pivot is alone in the column.  Each round lists the nonzero entries
-    of row t right of the pivot, its support, once, and subtracts from a
+    Euclid clears column t: every row below is reduced by the quotient
+    rounded to the nearest integer, in integers (a float quotient is
+    wrong past 2**53), so that no remainder exceeds half the pivot, and
+    the row with the smallest remainder becomes row t, until the pivot
+    is alone in the column.  Each round lists the nonzero entries of
+    row t right of the pivot, its support, once, and subtracts from a
     row below only there, so a sparse pivot row costs little whatever
     the width; the support is listed again after every swap, since the
-    new row t has its own.  Row t is then reduced modulo the pivot,
-    which changes no other row; a remainder moves the column of the
-    smallest one to column t, and the step goes on.  The entries so
-    found are not yet in divisibility order; pairwise gcd and lcm, which
-    keep the exponents of every prime as a multiset, sort them into the
-    Smith diagonal, which is unique.
+    new row t has its own.  Row t is then reduced to balanced
+    remainders modulo the pivot, which changes no other row; a
+    remainder moves the column of the smallest one to column t, and the
+    step goes on.  The entries so found are not yet in divisibility
+    order; pairwise gcd and lcm, which keep the exponents of every prime
+    as a multiset, sort them into the Smith diagonal, which is unique.
     """
     rows, cols = a.rows, a.cols
     d = a.row_list()
@@ -206,14 +210,17 @@ def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
             while True:
                 prow = d[t]
                 pivot = prow[t]
+                size = abs(pivot)
                 support = [(k, y) for k, y in enumerate(prow[t + 1:], t + 1) if y]
-                low, k = abs(pivot), None
+                low, k = size, None
                 for i in range(t + 1, rows):
                     row = d[i]
                     x = row[t]
                     if x:
-                        f = x // pivot
-                        row[t] = x = x - f * pivot
+                        f, x = divmod(x, pivot)
+                        if 2 * abs(x) > size:
+                            f, x = f + 1, x - pivot
+                        row[t] = x
                         for c, y in support:
                             row[c] -= f * y
                         if x and abs(x) < low:
@@ -223,8 +230,9 @@ def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
                 d[t], d[k] = d[k], d[t]
             if pivot in (1, -1):
                 break  # row t is zero modulo a unit
-            prow[t + 1:] = [x % pivot for x in prow[t + 1:]]
-            low, j = abs(pivot), None
+            half = size // 2
+            prow[t + 1:] = [(x + half) % size - half for x in prow[t + 1:]]
+            low, j = size, None
             for k in range(t + 1, cols):
                 if prow[k] and abs(prow[k]) < low:
                     low, j = abs(prow[k]), k

@@ -2,9 +2,11 @@
 
 The oracles here deliberately avoid the code paths they are used to
 check: circuits are enumerated by a blunt depth-first search over edge
-traversals, membership modulo q by exhaustive search over (Z/q)^cols,
-the component group once more through the quotient-of-images
-presentation via stacked Smith reductions, c, the support and the
+traversals, the brute-force c is the gcd over every pair of circuits
+(:func:`brute_force_c_over_all_pairs`), with no early exit, membership
+modulo q by exhaustive search over (Z/q)^cols, the component group
+once more through the quotient-of-images presentation via stacked
+Smith reductions, c, the support and the
 torsor pairing w through the cycles of a fundamental basis
 (:class:`CyclePairing`), which the analysis no longer builds, and the
 breadth-first spanning tree grown from the ids (:func:`bfs_tree`), which
@@ -40,6 +42,7 @@ from nerongraph import (
     NeronGraphError,
     ReductionData,
     boundary_matrix,
+    enumerate_circuits,
     fundamental_cycle_basis,
     intersection_matrix,
     is_full_r_torsion,
@@ -47,6 +50,7 @@ from nerongraph import (
     is_r_divided,
     phi_group,
     phi_r_torsion,
+    signed_common_edges,
     smith_normal_form,
     solve_mod,
     thickness_subdivision,
@@ -366,6 +370,18 @@ def naive_circuits(g: MultiGraph) -> list[dict[int, int]]:
         for d in (1, -1):
             extend([(ei, d)], set())
     return [dict(pairs) for pairs in sorted(out, key=lambda pairs: [ei for ei, _ in pairs])]
+
+
+def brute_force_c_over_all_pairs(g: MultiGraph) -> int:
+    """The gcd of |signed_common_edges(a, b)| over every pair of the
+    sorted circuits of :func:`~nerongraph.graph.enumerate_circuits`, a
+    circuit paired with itself included, with no early exit; 0 when
+    there are none."""
+    circuits = enumerate_circuits(g)
+    return reduce(gcd, (
+        abs(signed_common_edges(a, b))
+        for i, a in enumerate(circuits) for b in circuits[i:]
+    ), 0)
 
 
 def canonical_pairs_by_permutations(

@@ -217,6 +217,21 @@ class TestHomologyModulus:
             monkeypatch.setattr(component_group, "fundamental_cycle_basis", inner)
             assert homology_modulus(g) == h
 
+    def test_stops_pairing_at_a_gcd_of_one(self, monkeypatch):
+        # Edge 0 is a loop, whose fundamental cycle comes first and pairs
+        # with itself to 1; no later pairing can change that.
+        g = MultiGraph(
+            ["v0", "v1", "v2"],
+            [("l", "v0", "v0"), ("e0", "v0", "v1"), ("e1", "v1", "v2"),
+             ("e2", "v2", "v0"), ("e3", "v0", "v1")],
+        )
+        inner, calls = component_group.signed_common_edges, []
+        monkeypatch.setattr(
+            component_group, "signed_common_edges",
+            lambda a, b: calls.append(1) or inner(a, b),
+        )
+        assert homology_modulus(g) == 1 and len(calls) == 1
+
     def test_a_faulty_pairing_cannot_change_the_answer(self, monkeypatch):
         # The tree potentials give the gcd of the pairings a second time,
         # without signed_common_edges.  With each self-pairing off by one

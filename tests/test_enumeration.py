@@ -13,6 +13,7 @@ from nerongraph import (
     MultiGraph,
     betti1,
     boundary_matrix,
+    enumerate_circuits,
     homological_criterion,
     is_full_r_torsion,
     phi_r_torsion,
@@ -36,6 +37,7 @@ from helpers import (
     coboundary_matrix,
     subgroup_contained_mod,
     augmentations_by_child_ranks,
+    brute_force_c_over_all_pairs,
     canonical_pairs_by_permutations,
     connected_multigraphs_by_every_augmentation,
     random_connected_multigraph,
@@ -305,6 +307,35 @@ def test_twins_are_not_permuted(monkeypatch, n, pairs):
         (i - 1, centre) for i in sorted(v for u, v in pairs)
     )
     assert len(counts) == 1 and counts[0] <= 4
+
+
+def test_brute_force_c_is_the_gcd_over_all_pairs():
+    # Stopping once the gcd is 1 changes no value: on every graph with at
+    # most 7 edges, and on random multigraphs with loops and parallel
+    # edges, it is the gcd over every pair of circuits.
+    for g in connected_multigraphs(7):
+        assert brute_force_c(g) == brute_force_c_over_all_pairs(g)
+    rng = random.Random(23)
+    for _ in range(200):
+        g = random_connected_multigraph(rng, max_edges=10)
+        assert brute_force_c(g) == brute_force_c_over_all_pairs(g)
+
+
+def test_brute_force_c_stops_at_a_gcd_of_one(monkeypatch):
+    # A loop is the first circuit found and pairs with itself to 1, so
+    # beside K7 (1172 more circuits) one edge set is built.
+    import builtins
+
+    import nerongraph.graph
+
+    edges = [(i, u, v) for i, (u, v) in enumerate(itertools.combinations(range(7), 2))]
+    g = MultiGraph(range(7), edges + [(len(edges), 3, 3)])
+    assert len(enumerate_circuits(g)) == 1173
+    built = []
+    monkeypatch.setattr(nerongraph.graph, "frozenset",
+                        lambda items: built.append(1) or builtins.frozenset(items),
+                        raising=False)
+    assert brute_force_c(g) == 1 and len(built) == 1
 
 
 def test_random_graphs_valid_and_reproducible():

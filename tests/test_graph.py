@@ -23,7 +23,7 @@ from nerongraph import (
     total_genus,
 )
 from nerongraph.fixtures import fixture
-from nerongraph.graph import bridges, spanning_tree
+from nerongraph.graph import bridges, iter_circuits, spanning_tree
 
 from helpers import (
     banana,
@@ -286,6 +286,23 @@ class TestEnumerateCircuits:
         circuits = enumerate_circuits(k7)
         assert len(circuits) == 1172 and len(built) == 1172
 
+    def test_iter_circuits_yields_each_circuit_once(self, small_family):
+        for g in small_family:
+            found = list(iter_circuits(g))
+            assert len({frozenset(c) for c in found}) == len(found)
+            assert sorted(found, key=sorted) == enumerate_circuits(g)
+
+    def test_iter_circuits_honours_the_limit(self, small_family):
+        # Up to the limit the circuits come out; the next one raises.
+        for g in small_family:
+            n = len(enumerate_circuits(g))
+            assert len(list(iter_circuits(g, limit=n))) == n
+            if n:
+                circuits = iter_circuits(g, limit=n - 1)
+                assert len(list(itertools.islice(circuits, n - 1))) == n - 1
+                with pytest.raises(TooManyCircuits):
+                    next(circuits)
+
     def test_long_cycle_without_recursion(self):
         from nerongraph.enumeration import brute_force_c
 
@@ -343,17 +360,23 @@ class TestFundamentalCycleBasis:
         assert fundamental_cycle_basis(barbell()) == [{0: 1}, {2: 1}]
 
     def test_builds_no_circuit(self, monkeypatch):
+        import sys
         import time
 
-        import nerongraph.enumeration as enumeration_module
-        import nerongraph.graph as graph_module
         from nerongraph import ReductionData, analyze
 
         def refuse(*args, **kwargs):
             raise AssertionError("the cycle basis enumerated the circuits")
 
-        for module in (graph_module, enumeration_module):
-            monkeypatch.setattr(module, "enumerate_circuits", refuse)
+        patched = set()
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "nerongraph" or module_name.startswith("nerongraph."):
+                for name in ("iter_circuits", "enumerate_circuits"):
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, refuse)
+                        patched.add(f"{module_name}.{name}")
+        assert {"nerongraph.graph.iter_circuits", "nerongraph.graph.enumerate_circuits",
+                "nerongraph.enumeration.iter_circuits"} <= patched
         g = cycle_graph(3000)
         start = time.perf_counter()
         (cycle,) = fundamental_cycle_basis(g)

@@ -427,10 +427,38 @@ class TestEliminate:
         )
 
 
+@st.composite
+def _large_matrices(draw):
+    """1-4 rows and columns whose entries pass 2**60, some scaled by a
+    common factor past it.  Among the values, 2**60 and 3 * 2**59 make a
+    remainder of exactly half the pivot, the tie of nearest-integer
+    quotients, and a float quotient of such entries would round."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    entry = st.one_of(
+        st.integers(-(2**66), 2**66),
+        st.integers(-3, 3),
+        st.sampled_from((2**60, -(2**60), 3 * 2**59, 2**61 + 1, 2**53 + 1, -(2**63))),
+    )
+    scale = draw(st.sampled_from((1, 1, 6, 2**61 + 3)))
+    entries = [[scale * draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        entries[-1] = [2 * x for x in entries[0]]
+    return IntMatrix(entries, cols=cols)
+
+
 class TestSmithDiagonal:
     """The diagonal-only loop, whose entries are put in divisibility
     order at the end by pairwise gcd and lcm, against the elimination
     with transforms and the determinantal divisors."""
+
+    @given(_large_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_large_entries(self, m):
+        # Nearest-integer quotients in integers: exact past 2**53.
+        diagonal = homology._smith_diagonal(m)
+        assert diagonal == main_diagonal(homology._eliminate(m)[1])
+        assert diagonal == invariant_factors(m)
 
     @pytest.mark.parametrize("rows, expected", [
         ([[4, 0], [0, 6]], (2, 12)),
