@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import gcd, prod
-from . import homology
-from .errors import BoundsTooLarge, MalformedSpectrum
+from .errors import BoundsTooLarge, MalformedSpectrum, check_modulus
 from .graph import (
     MultiGraph, betti1, fundamental_cycle_basis, signed_common_edges, spanning_tree,
 )
@@ -163,8 +162,7 @@ def spanning_tree_count(g: MultiGraph) -> int:
 
 def phi_r_torsion(g: MultiGraph, r: int) -> AbelianGroup:
     """The r-torsion subgroup Phi[r] (see :meth:`AbelianGroup.torsion`)."""
-    if r < 1:
-        raise ValueError("r must be a positive integer")
+    check_modulus(r, "r")
     return phi_group(g).torsion(r)
 
 
@@ -183,8 +181,7 @@ def is_full_r_torsion(g: MultiGraph, r: int) -> bool:
     """Whether Phi[r] is isomorphic to (Z/r)^b1, i.e. has exactly b1
     invariant factors all equal to r.  This is the finiteness condition
     for the Neron model of the r-torsion of the Picard scheme."""
-    if r < 1:
-        raise ValueError("r must be a positive integer")
+    check_modulus(r, "r")
     return is_full_torsion(phi_group(g), betti1(g), r)
 
 
@@ -254,5 +251,5 @@ def homological_criterion(g: MultiGraph, q: int) -> bool:
     equivalent both to q dividing every signed circuit intersection and
     to Phi[q] being all of (Z/q)^b1.  It reads :func:`homology_modulus`.
     """
-    homology._check_modulus(q)
+    check_modulus(q, "q")
     return homology_modulus(g) % q == 0

@@ -4,7 +4,8 @@ Everything raised on bad input derives from :class:`NeronGraphError`, so
 callers (in particular the command line front end) can distinguish
 validation failures from programming errors with a single except clause.
 Messages name the offending field or id, cut by :func:`shown`, and never
-echo an unbounded value.
+echo an unbounded value.  :func:`check_modulus` is the one check of a
+torsion order r or a modulus q.
 """
 
 #: Most characters of an id or key that an error message shows.
@@ -17,6 +18,13 @@ def shown(text: str) -> str:
     if len(text) <= SHOWN_CHARS:
         return text
     return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
+
+
+def check_modulus(value: int, name: str) -> None:
+    """Raise :class:`ValueError` unless ``value``, a torsion order r or a
+    modulus q, is a positive integer; ``True`` and ``2.0`` are not."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
 
 
 class NeronGraphError(Exception):

@@ -50,6 +50,7 @@ from .errors import (
     DuplicateId,
     TooManyCircuits,
     UnknownEdge,
+    check_modulus,
     shown,
 )
 
@@ -357,19 +358,16 @@ def iter_circuits(
     index has +1 and listing its edges in increasing index.
 
     A circuit's edge set determines it, so a circuit and its reversal
-    count once.  The loops come first, as length-1 circuits; parallel
+    count once: :func:`_closed_walks` closes each circuit once, so none
+    is remembered.  The loops come first, as length-1 circuits; parallel
     edges give length-2 circuits.  Raises :class:`TooManyCircuits` when
     a circuit past the first ``limit`` is closed.
     """
-    seen: set[frozenset[int]] = set()
-    for steps in _closed_walks(g):
-        key = frozenset(ei for ei, _ in steps)
-        if key not in seen:
-            if len(seen) >= limit:
-                raise TooManyCircuits(f"more than {limit} circuits")
-            seen.add(key)
-            flip = min(steps)[1]  # the direction of the least edge index
-            yield {ei: d * flip for ei, d in sorted(steps)}
+    for count, steps in enumerate(_closed_walks(g)):
+        if count >= limit:
+            raise TooManyCircuits(f"more than {limit} circuits")
+        flip = min(steps)[1]  # the direction of the least edge index
+        yield {ei: d * flip for ei, d in sorted(steps)}
 
 
 def _closed_walks(g: MultiGraph) -> Iterator[list[tuple[int, int]]]:
@@ -517,8 +515,7 @@ def is_r_divided(g: MultiGraph, r: int) -> bool:
     thickness divisible by r.  This is Lorenzini's sufficient condition
     for a finite Neron model of the r-torsion.
     """
-    if r < 1:
-        raise ValueError("r must be a positive integer")
+    check_modulus(r, "r")
     thickness = g.thicknesses
     return all(
         sum(thickness[ei] for ei in chain) % r == 0 for chain in maximal_chains(g)

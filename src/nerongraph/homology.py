@@ -20,11 +20,13 @@ divisibility step and puts the diagonal in divisibility order at the
 end by pairwise gcd and lcm.
 The invariant factors (and so the component group) need nothing more,
 and :func:`smith_normal_form` memoises that diagonal and nothing else.
-:func:`_eliminate` computes D with the unimodular transforms U and V;
-it takes its pivots by the same rule (:func:`_unit_pivot`) and updates
-rows only at the support of the row it adds.  It runs outside the memo,
-once per call, in the solvers modulo q alone, each of which reads the
-diagonal off the same D as its U and V.
+:func:`_eliminate` computes D with the unimodular transforms U and V
+by the textbook loop: the smallest entry as pivot (:func:`_pivot`, not
+the unit-first rule of :func:`_smith_diagonal`), floor quotients and
+operations over whole rows, so that the tests can check the diagonal
+against it as an oracle that shares no shortcut with it.  It runs
+outside the memo, once per call, in the solvers modulo q alone, each of
+which reads the diagonal off the same D as its U and V.
 
 Everything is computed with Python's arbitrary-precision integers; no
 floating point is used anywhere.  Smith reduction of integer Laplacians
@@ -38,7 +40,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, check_modulus
 from .graph import MultiGraph
 
 
@@ -254,75 +256,47 @@ def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
 def _eliminate(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Unimodular U and V and the Smith form D of a, with U A V = D.
 
-    At step t the pivot, the first ±1 of the first row that holds one,
-    or else the smallest nonzero absolute value (:func:`_unit_pivot`),
-    moves to (t, t); row operations clear column t below it and column
-    operations row t to its right.  While that leaves a remainder the
-    step starts over, and once both are clear an entry that the pivot
-    does not divide has its row added to row t.  Rows and columns before
-    t are already zero from column and row t on.  Each operation changes
-    a row of D, U or V only at the nonzero entries of the row it adds, its
-    support, so the sparse rows of graph matrices and of early
-    transforms cost little.  V is kept transposed, so that its column
-    operations are row operations.
+    The textbook loop, kept plain as the oracle of
+    :func:`_smith_diagonal`, whose pivot rule it does not share.  At
+    step t the smallest nonzero entry of the trailing block
+    (:func:`_pivot`) moves to (t, t); row operations with floor
+    quotients clear column t below it and column operations row t to
+    its right.  While that leaves a remainder the step starts over, and
+    once both are clear an entry that the pivot does not divide has its
+    row added to row t.  Rows and columns before t are already zero from
+    column and row t on.  V is kept transposed, so that its column
+    operations are row operations.  The signs are fixed at the end.
     """
     rows, cols = a.rows, a.cols
     d = a.row_list()
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
     for t in range(min(rows, cols)):
-        while True:
-            p = _unit_pivot(d, t)
-            if p is None:
-                break
+        while (p := _pivot(d, t)) is not None:
             i, j = p
-            d[t], d[i] = d[i], d[t]
-            u[t], u[i] = u[i], u[t]
-            if j != t:
-                for row in d[t:]:
-                    row[t], row[j] = row[j], row[t]
-                vt[t], vt[j] = vt[j], vt[t]
-            prow = d[t]
-            pivot = prow[t]
-            support = [(k, y) for k, y in enumerate(prow[t + 1:], t + 1) if y]
-            u_support = [(k, y) for k, y in enumerate(u[t]) if y]
-            dirty = False
+            d[t], d[i], u[t], u[i] = d[i], d[t], u[i], u[t]
+            for row in d:
+                row[t], row[j] = row[j], row[t]
+            vt[t], vt[j] = vt[j], vt[t]
+            pivot = d[t][t]
             for i in range(t + 1, rows):
-                row = d[i]
-                x = row[t]
-                if x:
-                    f = x // pivot
-                    row[t] = x = x - f * pivot
-                    for k, y in support:
-                        row[k] -= f * y
-                    ui = u[i]
-                    for k, y in u_support:
-                        ui[k] -= f * y
-                    if x:
-                        dirty = True
-            column = [(row, row[t]) for row in d[t:] if row[t]]
-            v_support = [(k, y) for k, y in enumerate(vt[t]) if y]
-            for j, y in support:
-                f = y // pivot
-                for row, x in column:
-                    row[j] -= f * x
-                vj = vt[j]
-                for k, z in v_support:
-                    vj[k] -= f * z
-                if prow[j]:
-                    dirty = True
-            if dirty:
+                if f := d[i][t] // pivot:
+                    d[i] = [x - f * y for x, y in zip(d[i], d[t])]
+                    u[i] = [x - f * y for x, y in zip(u[i], u[t])]
+            for j in range(t + 1, cols):
+                if f := d[t][j] // pivot:
+                    for row in d:
+                        row[j] -= f * row[t]
+                    vt[j] = [x - f * y for x, y in zip(vt[j], vt[t])]
+            if any(row[t] for row in d[t + 1:]) or any(d[t][t + 1:]):
                 continue
-            if pivot in (1, -1):
-                break
             # Row and column are clear; enforce divisibility of the rest.
             offender = next(
-                (i for i in range(t + 1, rows) if any(x % pivot for x in d[i][t + 1:])),
-                None,
+                (i for i in range(t + 1, rows) if any(x % pivot for x in d[i])), None
             )
             if offender is None:
                 break
-            prow[t:] = [x + y for x, y in zip(prow[t:], d[offender][t:])]
+            d[t] = [x + y for x, y in zip(d[t], d[offender])]
             u[t] = [x + y for x, y in zip(u[t], u[offender])]
         if p is None:
             break
@@ -459,11 +433,6 @@ def cycle_pairing_matrix(
 # -- systems modulo q -------------------------------------------------------
 
 
-def _check_modulus(q: int) -> None:
-    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-        raise ValueError(f"modulus must be a positive integer, got {q!r}")
-
-
 def solve_mod(a: IntMatrix, b: Sequence[int], q: int) -> tuple[int, ...] | None:
     """A solution x of a x = b (mod q), or None when there is none.
 
@@ -474,7 +443,7 @@ def solve_mod(a: IntMatrix, b: Sequence[int], q: int) -> tuple[int, ...] | None:
     checked against the system before it is returned;
     :class:`ArithmeticError` means the elimination was wrong.
     """
-    _check_modulus(q)
+    check_modulus(q, "q")
     if len(b) != a.rows:
         raise DimensionMismatch(
             f"matrix has {a.rows} rows, right-hand side has {len(b)} entries"
@@ -508,7 +477,7 @@ def kernel_generators_mod(a: IntMatrix, q: int) -> list[tuple[int, ...]]:
     independent whenever the diagonal entries are 0 or 1 (the case of
     graph boundary maps).
     """
-    _check_modulus(q)
+    check_modulus(q, "q")
     _, d, v = _eliminate(a)
     gens = []
     for j in range(a.cols):

@@ -70,6 +70,7 @@ from .errors import (
     MissingMultidegree,
     SemistabilityRequired,
     StabilizerMismatch,
+    check_modulus,
     shown,
 )
 from .graph import (
@@ -310,6 +311,7 @@ def twisted_roots_finite(d: ReductionData) -> bool:
 def torsion_count_special(g: MultiGraph, r: int) -> int:
     """Number of r-torsion line bundles on the nodal curve itself:
     r^(2g - b1) for total genus g."""
+    check_modulus(r, "r")
     return r ** (2 * total_genus(g) - betti1(g))
 
 
@@ -321,6 +323,7 @@ def torsion_count_twisted(g: MultiGraph, r: int) -> int:
     curve times r^b1 classes of gluing data (the kernel of the boundary
     map mod r).
     """
+    check_modulus(r, "r")
     for e, stabilizer in zip(g.edges, g.stabilizers):
         if stabilizer != r:
             raise StabilizerMismatch(

@@ -10,11 +10,15 @@ from nerongraph import (
     betti1,
     enumerate_circuits,
     homological_criterion,
+    intersection_matrix,
     is_full_r_torsion,
+    is_r_divided,
     phi_group,
     phi_r_torsion,
     solve_mod,
     spanning_tree_count,
+    torsion_count_special,
+    torsion_count_twisted,
 )
 import nerongraph.component_group as component_group
 import nerongraph.homology as homology
@@ -333,3 +337,26 @@ class TestMalformedSpectrum:
         )
         with pytest.raises(MalformedSpectrum):
             cg.phi_group(object())
+
+
+_SQUARE = fixture("square")
+
+
+@pytest.mark.parametrize("check", [
+    lambda r: phi_r_torsion(_SQUARE, r),
+    lambda r: is_full_r_torsion(_SQUARE, r),
+    lambda r: is_r_divided(_SQUARE, r),
+    lambda r: torsion_count_special(_SQUARE, r),
+    lambda r: torsion_count_twisted(_SQUARE, r),
+    lambda q: homological_criterion(_SQUARE, q),
+    lambda q: solve_mod(intersection_matrix(_SQUARE), (0,) * 4, q),
+    lambda q: kernel_generators_mod(intersection_matrix(_SQUARE), q),
+], ids=["phi_r_torsion", "is_full_r_torsion", "is_r_divided", "torsion_count_special",
+        "torsion_count_twisted", "homological_criterion", "solve_mod",
+        "kernel_generators_mod"])
+@pytest.mark.parametrize("value", [0, -2, 2.0, 2.5, True, "2"], ids=repr)
+def test_torsion_orders_and_moduli_are_checked_alike(check, value):
+    # One check for r and q: a float, a bool or a string is no positive
+    # integer, even where it would compute a number.
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        check(value)

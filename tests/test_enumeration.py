@@ -323,19 +323,16 @@ def test_brute_force_c_is_the_gcd_over_all_pairs():
 
 def test_brute_force_c_stops_at_a_gcd_of_one(monkeypatch):
     # A loop is the first circuit found and pairs with itself to 1, so
-    # beside K7 (1172 more circuits) one edge set is built.
-    import builtins
-
+    # beside K7 (1172 more circuits) one closed walk is taken.
     import nerongraph.graph
 
     edges = [(i, u, v) for i, (u, v) in enumerate(itertools.combinations(range(7), 2))]
     g = MultiGraph(range(7), edges + [(len(edges), 3, 3)])
     assert len(enumerate_circuits(g)) == 1173
-    built = []
-    monkeypatch.setattr(nerongraph.graph, "frozenset",
-                        lambda items: built.append(1) or builtins.frozenset(items),
-                        raising=False)
-    assert brute_force_c(g) == 1 and len(built) == 1
+    inner, walks = nerongraph.graph._closed_walks, []
+    monkeypatch.setattr(nerongraph.graph, "_closed_walks",
+                        lambda g: (walks.append(w) or w for w in inner(g)))
+    assert brute_force_c(g) == 1 and len(walks) == 1
 
 
 def test_random_graphs_valid_and_reproducible():

@@ -272,19 +272,18 @@ class TestEnumerateCircuits:
     def test_each_circuit_is_closed_once(self, monkeypatch):
         # On the complete graph K7 every circuit has two edges or more,
         # so each would be walked in both directions; only one is closed,
-        # and one edge set is built per circuit.
-        import builtins
-
+        # and iter_circuits, which remembers no edge set, yields each
+        # closed walk.
         import nerongraph.graph
 
-        built = []
-        monkeypatch.setattr(nerongraph.graph, "frozenset",
-                            lambda items: built.append(1) or builtins.frozenset(items),
-                            raising=False)
+        inner, walks = nerongraph.graph._closed_walks, []
+        monkeypatch.setattr(nerongraph.graph, "_closed_walks",
+                            lambda g: (walks.append(w) or w for w in inner(g)))
         k7 = MultiGraph(range(7), [(i, u, v) for i, (u, v) in
                                     enumerate(itertools.combinations(range(7), 2))])
         circuits = enumerate_circuits(k7)
-        assert len(circuits) == 1172 and len(built) == 1172
+        assert len(circuits) == 1172 and len(walks) == 1172
+        assert len({frozenset(ei for ei, _ in w) for w in walks}) == 1172
 
     def test_iter_circuits_yields_each_circuit_once(self, small_family):
         for g in small_family:

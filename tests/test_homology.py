@@ -1,4 +1,6 @@
+import itertools
 import random
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -359,6 +361,36 @@ class TestSmithDiagonalOracle:
             del calls[:]
             solve()
             assert calls == ["_eliminate"]
+
+    @pytest.mark.parametrize("entries", [
+        [[2, 4], [6, 9]],
+        [[6, 4, 2], [4, 8, 0], [2, 0, 10]],
+        [[2, 0, 4], [0, 6, 3]],
+        [[1, 2], [2, 4], [3, 6]],
+    ])
+    def test_eliminate_shares_no_pivot_rule_with_the_diagonal(self, monkeypatch, entries):
+        # The oracle of _smith_diagonal takes none of its shortcuts: with
+        # the unit-first pivot rule broken, the transforms and both
+        # solvers still agree with the determinantal divisors.
+        def broken(d, t):
+            raise RuntimeError("_unit_pivot is the rule of _smith_diagonal alone")
+
+        monkeypatch.setattr(homology, "_unit_pivot", broken)
+        m = IntMatrix(entries)
+        u, d, v = homology._eliminate(m)
+        diag = invariant_factors(m)
+        assert main_diagonal(d) == diag and u * m * v == d
+        padded = diag + (0,) * (m.cols - len(diag))
+        for q in (4, 6):
+            kernel = brute_kernel(m, q)
+            assert len(kernel) == prod(gcd(x, q) for x in padded)
+            assert span_mod(kernel_generators_mod(m, q), m.cols, q) == kernel
+            # solve_mod checks every solution it returns against m.
+            solvable = sum(
+                solve_mod(m, b, q) is not None
+                for b in itertools.product(range(q), repeat=m.rows)
+            )
+            assert solvable == q**m.cols // len(kernel)
 
 
 def _unit_graph(rng: random.Random, n: int) -> MultiGraph:

@@ -1,6 +1,7 @@
 """Source rules that no other test would catch."""
 
 import ast
+import importlib
 import inspect
 import pathlib
 import re
@@ -54,3 +55,33 @@ def test_public_surface_is_what_callers_import():
         and not isinstance(value, types.ModuleType)
     }
     assert others == set()
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    # A name with a leading underscore belongs to its own module: another
+    # module in the package neither imports it nor reads it as module._name.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = importlib.import_module("." * node.level + (node.module or ""),
+                                               "nerongraph")
+                modules.update(a.asname or a.name for a in node.names
+                               if isinstance(getattr(base, a.name, None), types.ModuleType))
+                found += [f"{path.name}:{node.lineno} imports {a.name}"
+                          for a in node.names if _private(a.name)]
+        found += [
+            f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and _private(node.attr)
+        ]
+    assert found == []
