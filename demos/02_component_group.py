@@ -36,7 +36,8 @@ print("Smith diagonal:", smith_normal_form(m).diagonal)
 print("Phi(square) =", phi_group(square))
 
 # Kirchhoff cross-check: |Phi| equals the number of spanning trees,
-# counted here by deletion-contraction, a completely independent route.
+# counted here as the determinant of the grounded Laplacian (the
+# matrix-tree theorem), with no Smith reduction.
 print("spanning trees:", spanning_tree_count(square))
 
 # r-torsion: Phi[r] = (+) Z/gcd(n_i, r).  The Neron model of the

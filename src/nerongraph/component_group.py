@@ -6,7 +6,7 @@ matrix M restricted to degree-zero 0-chains; it is the group of connected
 components of the special fibre of the Neron model of the Jacobian, also
 known as the critical group or sandpile group in combinatorics.  Its
 order is the number of spanning trees, which gives an independent oracle
-via deletion-contraction.
+by the matrix-tree theorem: the determinant of the grounded Laplacian.
 
 The homological criterion asks whether every cycle mod q is a coboundary
 mod q.  It holds at q exactly when q divides :func:`homology_modulus`,
@@ -23,7 +23,7 @@ from .errors import BoundsTooLarge, MalformedSpectrum, check_modulus
 from .graph import (
     MultiGraph, betti1, fundamental_cycle_basis, signed_common_edges, spanning_tree,
 )
-from .homology import intersection_matrix, smith_normal_form
+from .homology import MAX_PRESENTATION_DIMENSION, intersection_matrix, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,16 @@ def phi_group(g: MultiGraph) -> AbelianGroup:
     Computed from the Smith diagonal of the intersection matrix: for a
     connected graph on h vertices the diagonal is (n_1, ..., n_{h-1}, 0)
     with all n_i nonzero, and the entries greater than 1 are the
-    invariant factors.
+    invariant factors.  Raises :class:`BoundsTooLarge`, before any
+    matrix is built, when ``n_vertices - 1``, the dimension of the
+    presentation, is past :data:`MAX_PRESENTATION_DIMENSION`.
     """
+    if g.n_vertices - 1 > MAX_PRESENTATION_DIMENSION:
+        raise BoundsTooLarge(
+            f"vertices: {g.n_vertices} vertices give a presentation of the "
+            f"component group of dimension {g.n_vertices - 1}, past the limit "
+            f"of {MAX_PRESENTATION_DIMENSION}"
+        )
     diag = smith_normal_form(intersection_matrix(g)).diagonal
     zeros = sum(1 for d in diag if d == 0)
     if zeros != 1:
@@ -85,79 +93,47 @@ def phi_group(g: MultiGraph) -> AbelianGroup:
     return AbelianGroup(tuple(d for d in diag if d > 1))
 
 
-#: Most non-loop edges :func:`spanning_tree_count` takes; its recursion
-#: goes one level deeper per edge.
+#: Most non-loop edges :func:`spanning_tree_count` takes.  A connected
+#: graph has at most one vertex more, so this bounds the dimension of
+#: the determinant, and with it the work.
 MAX_TREE_COUNT_EDGES = 200
-
-#: Most memoised deletion-contraction states :func:`spanning_tree_count`
-#: builds, which bounds its time and memory: the 4 x 6 grid (38 edges)
-#: needs 124997 of them, the 5 x 5 grid (40 edges) 239344.
-MAX_TREE_COUNT_STATES = 2**17
 
 
 def spanning_tree_count(g: MultiGraph) -> int:
-    """Number of spanning trees, by deletion-contraction.
+    """Number of spanning trees, by Kirchhoff's matrix-tree theorem: the
+    determinant of the Laplacian with vertex 0 grounded.
 
-    Loops are deleted and bridges contracted; the recursion is memoised
-    on the vertex set and edge multiset.  This is deliberately
-    independent of the Smith-form route to |Phi|, so the two can
-    cross-validate each other (the matrix-tree theorem).  Raises
+    The Laplacian is filled here from ``g.endpoints``, loops skipped,
+    and the determinant taken by fraction-free elimination (Bareiss,
+    1968), so that this shares nothing with the Smith-form route to
+    |Phi| and the two cross-validate each other.  The grounded Laplacian
+    of a connected graph is positive definite, so every pivot is a
+    positive leading principal minor and no row is swapped.  Raises
     :class:`BoundsTooLarge` past :data:`MAX_TREE_COUNT_EDGES` non-loop
-    edges, or once the memo holds :data:`MAX_TREE_COUNT_STATES` states:
-    the edge count alone does not predict the work.
+    edges.
     """
-    edges = tuple(sorted((min(u, v), max(u, v)) for u, v in g.endpoints if u != v))
+    edges = [(u, v) for u, v in g.endpoints if u != v]
     if len(edges) > MAX_TREE_COUNT_EDGES:
         raise BoundsTooLarge(
             f"spanning_tree_count takes at most {MAX_TREE_COUNT_EDGES} "
             f"non-loop edges, got {len(edges)}"
         )
-    vertices, size = frozenset(range(g.n_vertices)), len(edges)
-    cache: dict[tuple, int] = {}
-
-    def connects(edges_left, start, goal) -> bool:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for a, b in edges_left:
-                if a == u and b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
-                elif b == u and a not in seen:
-                    seen.add(a)
-                    frontier.append(a)
-        return goal in seen
-
-    def count(verts: frozenset, edges: tuple) -> int:
-        if not edges:
-            return 1 if len(verts) <= 1 else 0
-        key = (verts, edges)
-        if key in cache:
-            return cache[key]
-        (u, v), rest = edges[0], edges[1:]
-        # Contract: relabel v -> u, drop the loops this creates.
-        relabelled = []
-        for a, b in rest:
-            a2 = u if a == v else a
-            b2 = u if b == v else b
-            if a2 != b2:
-                relabelled.append((min(a2, b2), max(a2, b2)))
-        contracted = tuple(sorted(relabelled))
-        merged = count(verts - {v}, contracted)
-        if connects(rest, u, v):
-            result = count(verts, rest) + merged
-        else:   # bridge: deletion contributes nothing
-            result = merged
-        cache[key] = result
-        if len(cache) > MAX_TREE_COUNT_STATES:
-            raise BoundsTooLarge(
-                f"spanning_tree_count builds at most {MAX_TREE_COUNT_STATES} "
-                f"states, too few for these {size} non-loop edges"
-            )
-        return result
-
-    return count(vertices, edges)
+    n = g.n_vertices
+    m = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        m[u][u] += 1
+        m[v][v] += 1
+        m[u][v] -= 1
+        m[v][u] -= 1
+    m = [row[1:] for row in m[1:]]  # ground vertex 0
+    previous = 1
+    for k in range(n - 2):
+        pivot, top = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            a = row[k]
+            row[k + 1:] = [(x * pivot - a * y) // previous for x, y in zip(row[k + 1:], top)]
+        previous = pivot
+    return m[-1][-1] if m else 1
 
 
 def phi_r_torsion(g: MultiGraph, r: int) -> AbelianGroup:

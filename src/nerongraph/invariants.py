@@ -83,15 +83,9 @@ from .graph import (
     spanning_tree,
     total_genus,
 )
-from .homology import cycle_pairing_matrix, kirchhoff_matrix, smith_normal_form
-
-#: Largest dimension of the presentation of Phi that :func:`analyze`
-#: Smith-reduces.  Random unit-thickness graphs with E = 2V, whose
-#: presentation is the (V - 1)-dimensional Kirchhoff matrix, took
-#: 1.7-3.0 s at dimension 400 on a 2-core x86-64 host, and their Smith
-#: diagonal alone 3.0-4.4 s at 420.  Thick edges make the entries, and
-#: the time, grow further.
-MAX_PRESENTATION_DIMENSION = 400
+from .homology import (
+    MAX_PRESENTATION_DIMENSION, cycle_pairing_matrix, kirchhoff_matrix, smith_normal_form,
+)
 
 
 @dataclass(frozen=True)

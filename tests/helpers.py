@@ -337,6 +337,29 @@ def divisibility_chain(m1: int, m2: int, m3: int, r: int) -> bool:
     return m2 % m1 == 0 and m3 % m2 == 0 and (r * m1) % m3 == 0
 
 
+def spanning_trees_by_subsets(g: MultiGraph) -> int:
+    """The number of spanning trees, as the number of (V - 1)-subsets of
+    the non-loop edges that union-find finds to be a forest: no matrix,
+    no determinant."""
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    edges = [(u, v) for u, v in g.endpoints if u != v]
+    count = 0
+    for subset in itertools.combinations(edges, g.n_vertices - 1):
+        root = list(range(g.n_vertices))
+        for u, v in subset:
+            a, b = find(u), find(v)
+            if a == b:
+                break
+            root[a] = b
+        else:
+            count += 1
+    return count
+
+
 def naive_circuits(g: MultiGraph) -> list[dict[int, int]]:
     """Depth-first enumeration of all circuits, from every starting edge
     and direction, as signed edge vectors turned so that the least edge

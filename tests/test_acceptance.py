@@ -86,8 +86,8 @@ def test_criterion_3_matrix_tree_cross_validation(small_family):
             mismatches += 1
     assert mismatches == 0
     print(
-        f"\nPASS criterion 3: |Phi| equals the deletion-contraction spanning "
-        f"tree count on {checked} graphs (0 mismatches)"
+        f"\nPASS criterion 3: |Phi| equals the matrix-tree determinant of the "
+        f"grounded Laplacian on {checked} graphs (0 mismatches)"
     )
 
 

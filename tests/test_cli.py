@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import errno
+import io
 import json
 import os
 import pathlib
@@ -531,6 +534,94 @@ def report_documents(draw):
     if draw(st.booleans()):
         given["multidegree"] = {v["id"]: draw(_INTS) for v in given["vertices"]}
     return doc
+
+
+def _records(doc):
+    """The objects of a document, as far as mutations left them objects:
+    the document, its vertex and edge records and its multidegree."""
+    out = [doc]
+    for section in ("vertices", "edges"):
+        if isinstance(doc.get(section), list):
+            out += [rec for rec in doc[section] if isinstance(rec, dict)]
+    if isinstance(doc.get("multidegree"), dict):
+        out.append(doc["multidegree"])
+    return out
+
+
+_MUTATIONS = ("drop", "retype", "negative", "huge", "unknown-id", "duplicate-id",
+              "disconnected", "r=0")
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid analyze document on at most 6 vertices (a random tree,
+    up to four more edges, random decorations, maybe a multidegree), then
+    one to three mutations: a field dropped or retyped, an integer made
+    negative or huge, an edge end or multidegree key that names no
+    vertex, an id repeated, an isolated vertex added, r set to 0."""
+    n = draw(st.integers(1, 6))
+    vertices = [{"id": f"v{i}", "genus": draw(st.integers(0, 2))} for i in range(n)]
+    ends = st.integers(0, n - 1)
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pairs += draw(st.lists(st.tuples(ends, ends), max_size=4))
+    edges = [{"id": f"e{k}", "tail": f"v{a}", "tip": f"v{b}",
+              "thickness": draw(st.integers(1, 4)), "stabilizer": draw(st.integers(1, 2))}
+             for k, (a, b) in enumerate(pairs)]
+    doc = {"name": "fuzz", "r": draw(st.integers(1, 6)), "m1": 1,
+           "vertices": vertices, "edges": edges}
+    if draw(st.booleans()):
+        degrees = [draw(st.integers(-3, 3)) for _ in range(n)]
+        degrees[0] -= sum(degrees) % doc["r"]
+        doc["multidegree"] = {v["id"]: d for v, d in zip(vertices, degrees)}
+    for mutation in draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=3)):
+        record = draw(st.sampled_from(_records(doc)))
+        if mutation in ("drop", "retype") and record:
+            key = draw(st.sampled_from(sorted(record)))
+            if mutation == "drop":
+                del record[key]
+            else:
+                record[key] = draw(st.sampled_from(["x", 1.5, None, True, [], {}, [1], "2"]))
+        elif mutation in ("negative", "huge"):
+            fields = [(rec, key) for rec in _records(doc) for key in sorted(rec)
+                      if type(rec[key]) is int]
+            if fields:
+                record, key = draw(st.sampled_from(fields))
+                record[key] = (-draw(st.integers(1, 10 ** 30)) if mutation == "negative" else
+                               draw(st.sampled_from([2 ** 63, 10 ** 40, 10 ** 300, 10 ** 4000])))
+        elif mutation == "unknown-id":
+            if "tail" in record:
+                record[draw(st.sampled_from(["tail", "tip"]))] = "nowhere"
+            else:
+                doc["multidegree"] = {"nowhere": 0}
+        elif mutation == "duplicate-id":
+            section = doc.get(draw(st.sampled_from(["vertices", "edges"])))
+            if isinstance(section, list) and section:
+                section.append(copy.deepcopy(draw(st.sampled_from(section))))
+        elif mutation == "disconnected" and isinstance(doc.get("vertices"), list):
+            doc["vertices"].append({"id": "lonely"})
+        elif mutation == "r=0":
+            doc["r"] = 0
+    return doc
+
+
+class TestFuzzedDocuments:
+    """Every mutated document is analysed or refused with one line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=mutated_documents(), machine=st.booleans())
+    def test_answers_or_refuses_in_one_line(self, tmp_path_factory, doc, machine):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", str(path)] + (["--format", "machine"] if machine else []))
+        assert code in (0, 2)
+        if code == 0:
+            assert err.getvalue() == "" and out.getvalue()
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 class TestMachineText:

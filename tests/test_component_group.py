@@ -37,6 +37,7 @@ from helpers import (
     path_graph,
     phi_from_presentation,
     random_connected_multigraph,
+    spanning_trees_by_subsets,
     subgroup_contained_mod,
     theta,
 )
@@ -92,6 +93,24 @@ class TestPhiGroup:
             )
             assert phi_group(g) == phi_group(h)
 
+    def test_refused_from_the_vertex_count_before_any_matrix(self, monkeypatch):
+        from nerongraph.homology import MAX_PRESENTATION_DIMENSION
+
+        def unbuilt(g):
+            raise AssertionError("the intersection matrix was built")
+
+        monkeypatch.setattr(component_group, "intersection_matrix", unbuilt)
+        g = path_graph(MAX_PRESENTATION_DIMENSION + 1)
+        limit = rf"^vertices: .* {MAX_PRESENTATION_DIMENSION}$"
+        for call in (phi_group, lambda g: phi_r_torsion(g, 2), lambda g: is_full_r_torsion(g, 2)):
+            with pytest.raises(BoundsTooLarge, match=limit):
+                call(g)
+
+    def test_largest_presentation_accepted(self):
+        from nerongraph.homology import MAX_PRESENTATION_DIMENSION
+
+        assert phi_group(path_graph(MAX_PRESENTATION_DIMENSION)) == AbelianGroup()
+
 
 class TestSpanningTreeCount:
     def test_tree(self):
@@ -109,13 +128,15 @@ class TestSpanningTreeCount:
 
     def test_matrix_tree_exhaustively(self, small_family):
         for g in small_family:
-            assert phi_group(g).order == spanning_tree_count(g)
+            count = spanning_tree_count(g)
+            assert phi_group(g).order == count == spanning_trees_by_subsets(g)
 
     def test_matrix_tree_random(self):
         rng = random.Random(2024)
         for _ in range(200):
             g = random_connected_multigraph(rng, max_edges=12)
-            assert phi_group(g).order == spanning_tree_count(g)
+            count = spanning_tree_count(g)
+            assert phi_group(g).order == count == spanning_trees_by_subsets(g)
 
     def test_long_cycle_refused_with_its_limit(self):
         from nerongraph import NeronGraphError
@@ -125,18 +146,17 @@ class TestSpanningTreeCount:
         with pytest.raises(NeronGraphError, match=str(MAX_TREE_COUNT_EDGES)):
             spanning_tree_count(cycle_graph(1200))
 
-    def test_grid_refused_by_its_work_within_seconds(self):
-        # The 5 x 6 grid has only 49 edges but ran 92 s before its memo
-        # was bounded; it is refused once the memo is full.
-        cells = [(i, j) for i in range(5) for j in range(6)]
-        edges = [(cells.index(a), cells.index(b))
-                 for a in cells for b in ((a[0] + 1, a[1]), (a[0], a[1] + 1)) if b in cells]
-        g = MultiGraph(range(30), [(k, a, b) for k, (a, b) in enumerate(edges)])
-        assert g.n_edges == 49
-        start = time.process_time()
-        with pytest.raises(BoundsTooLarge, match="edges"):
-            spanning_tree_count(g)
-        assert time.process_time() - start < 30
+    def test_grids_counted_within_a_second(self):
+        # The counts agree with networkx's number_of_spanning_trees on
+        # grid_2d_graph(rows, 6).
+        for rows, count in ((4, 170537640), (5, 74795194705)):
+            cells = [(i, j) for i in range(rows) for j in range(6)]
+            edges = [(cells.index(a), cells.index(b))
+                     for a in cells for b in ((a[0] + 1, a[1]), (a[0], a[1] + 1)) if b in cells]
+            g = MultiGraph(range(len(cells)), [(k, a, b) for k, (a, b) in enumerate(edges)])
+            start = time.process_time()
+            assert spanning_tree_count(g) == count
+            assert time.process_time() - start < 1
 
 
 class TestPhiTorsion:
@@ -329,14 +349,15 @@ class TestMalformedSpectrum:
     def test_disconnected_matrix_raises(self, monkeypatch):
         # A disconnected graph cannot be built through MultiGraph, so feed
         # phi_group the intersection matrix of one (two isolated loops)
-        # directly: its Smith diagonal has two zeros, not one.
+        # in place of the banana's: its Smith diagonal has two zeros, not
+        # one.
         import nerongraph.component_group as cg
 
         monkeypatch.setattr(
             cg, "intersection_matrix", lambda _: IntMatrix([[0, 0], [0, 0]])
         )
         with pytest.raises(MalformedSpectrum):
-            cg.phi_group(object())
+            cg.phi_group(banana())
 
 
 _SQUARE = fixture("square")

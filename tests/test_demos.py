@@ -55,6 +55,25 @@ def test_cli_reads_shipped_data_files():
         assert main(["analyze", str(doc)]) == 0
 
 
+def test_readme_quick_start_prints_what_its_comments_say():
+    # Each ``expr  # value`` line of the README's Python block, with any
+    # note in parentheses after the value dropped, must hold.
+    from nerongraph import AbelianGroup
+
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    namespace = {}
+    exec(block, namespace)
+    checks = re.findall(r"^(\S.*?) +# (.*)$", block, flags=re.M)
+    for expr, comment in checks:
+        expected = eval(comment.split(" (")[0], {"AbelianGroup": AbelianGroup})
+        assert eval(expr, namespace) == expected, expr
+    assert [expr for expr, _ in checks] == [
+        "report.group_neron_finite", "report.torsor_neron_finite", "report.phi",
+        "report.m2, report.m3",
+    ]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for script in DEMOS:
