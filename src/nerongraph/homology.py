@@ -9,7 +9,11 @@ normal form over the integers, and linear systems modulo an arbitrary
 :func:`kernel_generators_mod`.  The graph matrices are filled straight
 from the index tables that the graph builds once: the ``(tail index,
 tip index)`` of every edge in ``MultiGraph.endpoints`` and the
-thicknesses by edge index in ``MultiGraph.thicknesses``.
+thicknesses by edge index in ``MultiGraph.thicknesses``.  Their rows
+and columns follow the vertex order, except in :func:`kirchhoff_matrix`:
+it grounds the vertex of largest degree and lists the others by
+ascending degree, a static fill-reducing order, so that its Smith
+reduction depends on how the input lists the vertices only through ties.
 
 Two loops compute the Smith form.  :func:`_smith_diagonal` computes the
 diagonal alone: it clears each pivot's column by Euclid with quotients
@@ -46,10 +50,11 @@ from .graph import MultiGraph
 #: Largest dimension of the presentation of Phi that
 #: :func:`~nerongraph.invariants.analyze` and
 #: :func:`~nerongraph.component_group.phi_group` Smith-reduce.  Random
-#: unit-thickness graphs with E = 2V, whose presentation is the
-#: (V - 1)-dimensional Kirchhoff matrix, took 1.7-3.0 s at dimension 400
-#: on a 2-core x86-64 host, and their Smith diagonal alone 3.0-4.4 s at
-#: 420.  Thick edges make the entries, and the time, grow further.
+#: unit-thickness documents with E = 2V, whose presentation is the
+#: (V - 1)-dimensional Kirchhoff matrix, took 0.7-0.8 s to analyze at
+#: dimension 400 on a 2-core x86-64 host (0.9-1.2 s in vertex order),
+#: and their Smith diagonal alone 0.8 s at 420 (1.1-1.4 s).  Thick edges
+#: make the entries, and the time, grow further.
 MAX_PRESENTATION_DIMENSION = 400
 
 
@@ -378,13 +383,16 @@ def kirchhoff_matrix(g: MultiGraph) -> IntMatrix:
     group of the thickness subdivision, with the sign of
     :func:`intersection_matrix`.
 
-    Rows and columns are the vertices after vertex 0 (which is
-    grounded), then one generator for each edge of thickness eta > 1,
-    in edge order.  A unit non-loop edge adds its entries of the
-    intersection matrix outside row and column 0.  A thick edge's
-    generator has diagonal +eta, and +1 at its tail and -1 at its tip in
-    its row and its column (skipped at vertex 0); a thick loop gives an
-    isolated +eta, and a unit loop adds nothing.
+    A vertex's degree here is its number of non-loop edge ends, thick
+    edges included.  The vertex of largest degree is grounded, and the
+    rows and columns are the other vertices by ascending degree (ties go
+    to the lower vertex index both times), then one generator for each
+    edge of thickness eta > 1, in edge order.  A unit non-loop edge adds
+    its entries of the intersection matrix outside the ground's row and
+    column.  A thick edge's generator has diagonal +eta, and +1 at its
+    tail and -1 at its tip in its row and its column (skipped at the
+    ground); a thick loop gives an isolated +eta, and a unit loop adds
+    nothing.
 
     It is the Ohm and Kirchhoff block presentation of the component
     group, one generator per edge with diagonal thickness next to the
@@ -394,14 +402,35 @@ def kirchhoff_matrix(g: MultiGraph) -> IntMatrix:
     1/eta on each edge, the sign of M; with -eta the conductances of the
     thick edges would come out negative.  Its dimension
     ``n_vertices - 1 + #thick edges`` does not grow with the
-    thicknesses.
+    thicknesses.  The group depends neither on the ground nor on a
+    simultaneous permutation of rows and columns; the degree order is
+    the classic static fill-reducing one (Markowitz, 1957; Tinney and
+    Walker, 1967), and the unit-first pivots of :func:`_smith_diagonal`
+    run faster under it than in input order.  Loops add no degree, so
+    graphs that differ only by loops share a matrix, and a memo entry.
     """
     thickness = g.thicknesses
     thick = [j for j, eta in enumerate(thickness) if eta > 1]
     n = g.n_vertices - 1 + len(thick)
-    m = [[0] * (n + 1) for _ in range(n + 1)]  # row and column 0: vertex 0
-    generator = dict(zip(thick, range(g.n_vertices, n + 1)))
+    degree = [0] * g.n_vertices
+    for u, v in g.endpoints:
+        if u != v:
+            degree[u] += 1
+            degree[v] += 1
+    # sorted is stable and max returns the first maximum: ties go to the
+    # lower index.
+    order = sorted(range(g.n_vertices), key=degree.__getitem__)
+    ground = max(range(g.n_vertices), key=degree.__getitem__)
+    order.remove(ground)
+    # slot[v] is vertex v's row and column; the ground's is the last,
+    # row and column n, dropped at the end.
+    slot = [n] * g.n_vertices
+    for i, v in enumerate(order):
+        slot[v] = i
+    m = [[0] * (n + 1) for _ in range(n + 1)]
+    generator = dict(zip(thick, range(g.n_vertices - 1, n)))
     for j, (u, v) in enumerate(g.endpoints):
+        u, v = slot[u], slot[v]
         x = generator.get(j)
         if x is not None:
             m[x][x] = thickness[j]
@@ -413,7 +442,7 @@ def kirchhoff_matrix(g: MultiGraph) -> IntMatrix:
             m[v][v] -= 1
             m[u][v] += 1
             m[v][u] += 1
-    return IntMatrix._trusted(tuple(tuple(row[1:]) for row in m[1:]), n)
+    return IntMatrix._trusted(tuple(tuple(row[:n]) for row in m[:n]), n)
 
 
 def cycle_pairing_matrix(

@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nerongraph import (
+    AbelianGroup,
     DimensionMismatch,
     MultiGraph,
     betti1,
     boundary_matrix,
     intersection_matrix,
+    phi_group,
     smith_normal_form,
     solve_mod,
+    spanning_tree_count,
     thickness_subdivision,
 )
 import nerongraph.homology as homology
@@ -185,12 +188,27 @@ class TestKirchhoffMatrix:
         assert _phi_factors(kirchhoff_matrix(g)) == (3,)
 
     def test_unit_graph_is_the_grounded_intersection_matrix(self, small_family):
+        # The degree is minus M's diagonal (loops add nothing).  The
+        # vertex of largest degree is grounded and the others follow by
+        # ascending degree, ties to the lower index.
         for g in [h for h in small_family if h.n_edges <= 5]:
             m = intersection_matrix(g)
-            grounded = IntMatrix(
-                [m.row(i)[1:] for i in range(1, m.rows)], cols=m.cols - 1
-            )
-            assert kirchhoff_matrix(g) == grounded
+            degree = [-m[v, v] for v in range(m.rows)]
+            ground = max(range(m.rows), key=lambda v: (degree[v], -v))
+            rest = sorted(set(range(m.rows)) - {ground}, key=lambda v: (degree[v], v))
+            expected = IntMatrix([[m[i, j] for j in rest] for i in rest], cols=len(rest))
+            assert kirchhoff_matrix(g) == expected
+
+    def test_distinct_degrees_fix_the_ground_and_the_order(self):
+        # Degrees a 3, b 1, c 4, d 2 (b's loop counts for nothing): c is
+        # grounded and the rows are b, d, a.  A triangle with one
+        # doubled side and a pendant vertex: Z/5.
+        edges = [("e0", "c", "b"), ("e1", "c", "d"), ("e2", "d", "a"),
+                 ("e3", "a", "c"), ("e4", "a", "c")]
+        g = MultiGraph("abcd", edges + [("e5", "b", "b")])
+        assert kirchhoff_matrix(g) == IntMatrix([[-1, 0, 0], [0, -2, 1], [0, 1, -3]])
+        assert kirchhoff_matrix(g) == kirchhoff_matrix(MultiGraph("abcd", edges))
+        assert _phi_factors(kirchhoff_matrix(g)) == (5,)
 
     def test_loops(self):
         assert kirchhoff_matrix(loop_graph()) == IntMatrix([], cols=0)
@@ -198,11 +216,12 @@ class TestKirchhoffMatrix:
         assert kirchhoff_matrix(path_graph(0)) == IntMatrix([], cols=0)
 
     def test_thick_edge_at_the_grounded_vertex(self):
-        # A thick edge from v0 couples only to its other endpoint.
+        # v1 has the largest degree and is grounded; the rows are v0,
+        # v2, then e0's generator, which couples only to v0.
         g = MultiGraph(["v0", "v1", "v2"], [("e0", "v0", "v1"), ("e1", "v1", "v2")],
                        edge_thickness={"e0": 4})
         assert kirchhoff_matrix(g) == IntMatrix(
-            [[-1, 1, -1], [1, -1, 0], [-1, 0, 4]]
+            [[0, 0, 1], [0, -1, 0], [1, 0, 4]]
         )
 
     def test_same_group_as_gram_and_subdivision(self):
@@ -226,6 +245,26 @@ class TestKirchhoffMatrix:
             with_loops.add(any(e.is_loop for e in g.edges))
         smith_normal_form.cache_clear()
         assert kirchhoff_chosen == with_loops == {True, False}
+
+    def test_oracles_at_benchmark_size(self):
+        # The analyze-random shape: the Smith diagonal of the reordered
+        # matrix against the matrix-tree count and the Smith form of the
+        # intersection matrix, both in vertex order.
+        rng = random.Random(21)
+        for _ in range(30):
+            g = _unit_graph(rng, rng.randint(16, 64))
+            diagonal = homology._smith_diagonal(kirchhoff_matrix(g))
+            assert prod(d for d in diagonal if d) == spanning_tree_count(g)
+            assert AbelianGroup(tuple(d for d in diagonal if d > 1)) == phi_group(g)
+        smith_normal_form.cache_clear()
+
+    def test_relabelling_keeps_the_group(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            g = random_connected_multigraph(rng, max_edges=14, thickness_range=(1, 6))
+            assert _phi_factors(kirchhoff_matrix(scrambled(rng, g))) == _phi_factors(
+                kirchhoff_matrix(g))
+        smith_normal_form.cache_clear()
 
 
 class TestCyclePairingMatrix:
