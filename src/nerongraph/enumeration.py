@@ -290,7 +290,8 @@ def brute_force_c(g: MultiGraph) -> int:
     paired, as it is found, with itself and every one found before it,
     and the search stops once the gcd is 1, which no pairing can change;
     so :class:`~nerongraph.errors.TooManyCircuits` is raised only when
-    the limit is passed before the gcd reaches 1.  Applied to the
+    :data:`~nerongraph.graph.DEFAULT_CIRCUIT_LIMIT` circuits are passed
+    before the gcd reaches 1.  Applied to the
     thickness subdivision it gives c of the regular model, independently
     of the component group that
     :func:`~nerongraph.invariants.circuit_invariant_c` reads."""

@@ -11,13 +11,15 @@ tables that every algorithm here and in the sibling modules reads: the
 stabilizers by edge index, the genera by vertex index, and the
 breadth-first spanning tree from the least vertex, which is also its
 connectivity check (:func:`spanning_tree` returns it).  The
-algorithms work on indices; ids appear only in the accessors, the
-id-keyed mappings and the error messages.
+algorithms work on indices; ids appear only in ``vertices``, ``edges``,
+:meth:`MultiGraph.edge_index` and the error messages.
 
-The analysis reads everything from that tree, the bridges and the
-maximal chains, whose total thicknesses decide whether the minimal
-regular model is r-divided; it builds the fundamental cycle basis only
-when it reduces the basis's pairing.
+The analysis reads everything from that tree, the bridges (one
+lowlink scan, :func:`bridges`, which also answers
+:func:`is_nonseparating`) and the maximal chains, whose total
+thicknesses decide whether the minimal regular model is r-divided; it
+builds the fundamental cycle basis only when it reduces the basis's
+pairing.
 
 A *circuit* is a closed walk along oriented edges whose interior vertices
 are pairwise distinct; a loop alone is a circuit of length 1 and a pair of
@@ -29,7 +31,8 @@ counts the edges the two circuits share, with signs recording whether
 the orientations agree.  :func:`iter_circuits` yields the circuits one
 at a time, as they are closed, to the brute-force verifier, which stops
 once its gcd is 1; :func:`enumerate_circuits` sorts them for the test
-oracles and the demos.  The analysis builds no circuit.
+oracles and the demos.  Both stop at :data:`DEFAULT_CIRCUIT_LIMIT`
+circuits.  The analysis builds no circuit.
 
 Graphs are immutable after construction and all operations are pure
 (the vectors they return are fresh dicts), so everything in this module
@@ -39,7 +42,6 @@ is safe to share between threads.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
 from typing import NamedTuple
@@ -57,8 +59,9 @@ from .errors import (
 VertexId = int | str
 EdgeId = int | str
 
-#: Default cap for :func:`iter_circuits`; circuit counts grow
-#: exponentially and this tool targets desk-scale dual graphs.
+#: Cap on the circuits of :func:`iter_circuits`, read when it is called;
+#: circuit counts grow exponentially and this tool targets desk-scale
+#: dual graphs.
 DEFAULT_CIRCUIT_LIMIT = 10**6
 
 # How many unreachable vertices a Disconnected error names.
@@ -69,10 +72,6 @@ class Edge(NamedTuple):
     id: EdgeId
     tail: VertexId
     tip: VertexId
-
-    @property
-    def is_loop(self) -> bool:
-        return self.tail == self.tip
 
 
 class MultiGraph:
@@ -102,14 +101,14 @@ class MultiGraph:
     that the algorithms read, each once: ``endpoints``, the ``(tail
     index, tip index)`` of every edge; ``thicknesses`` and
     ``stabilizers`` by edge index; ``genera`` by vertex index; and the
-    breadth-first tree that :func:`spanning_tree` returns.  The id-keyed
-    mappings and accessors read these tables.
+    breadth-first tree that :func:`spanning_tree` returns.  Ids map to
+    indices through the order of ``vertices`` and ``edges`` and through
+    :meth:`edge_index`.
     """
 
     __slots__ = (
         "_vertices",
         "_edges",
-        "_vindex",
         "_eindex",
         "endpoints",
         "genera",
@@ -179,7 +178,6 @@ class MultiGraph:
 
         self._vertices = vs
         self._edges = es
-        self._vindex = vindex
         self._eindex = eindex
         self.endpoints = tuple(endpoints)
         self.genera = decorated(vertex_genus, vindex, 0, 0, "genus")
@@ -188,24 +186,11 @@ class MultiGraph:
         self._adjacency = adjacency
         self._loops_at = loops_at
 
-        # The breadth-first tree from the least vertex, edges scanned in
-        # input order: (parent index, edge index) per non-root vertex
-        # index, parents first.
-        root = vindex[min(vs)]
-        tree: dict[int, tuple[int, int]] = {}
-        seen = [False] * len(vs)
-        seen[root] = True
-        queue = [root]
-        for u in queue:  # the loop reaches the vertices appended to it
-            for ei, w in adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    tree[w] = (u, ei)
-                    queue.append(w)
-        self._tree = tree
-        if len(queue) < len(vs):
-            reached = self._reachable_from(0, skip_edge=None)
-            missing = [v for i, v in enumerate(vs) if i not in reached]
+        self._tree = _breadth_first(adjacency, vindex[min(vs)])
+        if len(self._tree) < len(vs) - 1:
+            # Name the vertices that the first one listed does not reach.
+            reached = _breadth_first(adjacency, 0)
+            missing = [v for i, v in enumerate(vs[1:], 1) if i not in reached]
             first = ", ".join(shown(repr(v)) for v in missing[:_SHOWN_UNREACHABLE])
             more = ", ..." if len(missing) > _SHOWN_UNREACHABLE else ""
             raise Disconnected(
@@ -231,59 +216,33 @@ class MultiGraph:
     def n_edges(self) -> int:
         return len(self._edges)
 
-    @property
-    def vertex_genus(self) -> Mapping[VertexId, int]:
-        return MappingProxyType(dict(zip(self._vertices, self.genera)))
-
-    @property
-    def edge_thickness(self) -> Mapping[EdgeId, int]:
-        return MappingProxyType(dict(zip(self._eindex, self.thicknesses)))
-
-    @property
-    def edge_stabilizer(self) -> Mapping[EdgeId, int]:
-        return MappingProxyType(dict(zip(self._eindex, self.stabilizers)))
-
-    def vertex_index(self, v: VertexId) -> int:
-        return self._vindex[v]
-
     def edge_index(self, e: EdgeId) -> int:
         try:
             return self._eindex[e]
         except KeyError:
             raise UnknownEdge(f"no edge with id {shown(repr(e))}") from None
 
-    def genus(self, v: VertexId) -> int:
-        return self.genera[self._vindex[v]]
-
-    def thickness(self, e: EdgeId) -> int:
-        return self.thicknesses[self.edge_index(e)]
-
-    def stabilizer(self, e: EdgeId) -> int:
-        return self.stabilizers[self.edge_index(e)]
-
-    def degree(self, v: VertexId) -> int:
-        """Number of edge ends at ``v``; a loop contributes 2."""
-        i = self._vindex[v]
-        return len(self._adjacency[i]) + 2 * len(self._loops_at[i])
-
-    def least_vertex(self) -> VertexId:
-        return min(self._vertices)
-
     def __repr__(self) -> str:
         return f"MultiGraph({self.n_vertices} vertices, {self.n_edges} edges)"
 
-    # -- internal traversal ----------------------------------------------
 
-    def _reachable_from(self, start: int, skip_edge: int | None) -> set[int]:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for ei, w in self._adjacency[u]:
-                if ei != skip_edge and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
+def _breadth_first(
+    adjacency: list[list[tuple[int, int]]], root: int
+) -> dict[int, tuple[int, int]]:
+    """The breadth-first tree from ``root``, edges scanned in input order:
+    ``(parent index, edge index)`` per reached non-root vertex index,
+    parents first."""
+    tree: dict[int, tuple[int, int]] = {}
+    seen = [False] * len(adjacency)
+    seen[root] = True
+    queue = [root]
+    for u in queue:  # the loop reaches the vertices appended to it
+        for ei, w in adjacency[u]:
+            if not seen[w]:
+                seen[w] = True
+                tree[w] = (u, ei)
+                queue.append(w)
+    return tree
 
 
 def betti1(g: MultiGraph) -> int:
@@ -299,10 +258,11 @@ def total_genus(g: MultiGraph) -> int:
 
 def is_nonseparating(g: MultiGraph, e: EdgeId) -> bool:
     """True when deleting the edge (keeping its endpoints) leaves the
-    graph connected.  Loops are always nonseparating."""
+    graph connected, that is, when it is not one of the :func:`bridges`.
+    Loops are always nonseparating."""
     i = g.edge_index(e)
     tail, tip = g.endpoints[i]
-    return tail == tip or tip in g._reachable_from(tail, skip_edge=i)
+    return tail == tip or i not in bridges(g)
 
 
 def bridges(g: MultiGraph) -> frozenset[int]:
@@ -350,9 +310,7 @@ def signed_common_edges(a: Mapping[int, int], b: Mapping[int, int]) -> int:
     return sum(sign * b[ei] for ei, sign in a.items() if ei in b)
 
 
-def iter_circuits(
-    g: MultiGraph, limit: int = DEFAULT_CIRCUIT_LIMIT
-) -> Iterator[dict[int, int]]:
+def iter_circuits(g: MultiGraph) -> Iterator[dict[int, int]]:
     """Every circuit of the graph once, as it is closed, as a signed edge
     vector ``{edge index: +1 or -1}`` oriented so that the least edge
     index has +1 and listing its edges in increasing index.
@@ -361,8 +319,9 @@ def iter_circuits(
     count once: :func:`_closed_walks` closes each circuit once, so none
     is remembered.  The loops come first, as length-1 circuits; parallel
     edges give length-2 circuits.  Raises :class:`TooManyCircuits` when
-    a circuit past the first ``limit`` is closed.
+    a circuit past the first :data:`DEFAULT_CIRCUIT_LIMIT` is closed.
     """
+    limit = DEFAULT_CIRCUIT_LIMIT
     for count, steps in enumerate(_closed_walks(g)):
         if count >= limit:
             raise TooManyCircuits(f"more than {limit} circuits")
@@ -411,13 +370,11 @@ def _closed_walks(g: MultiGraph) -> Iterator[list[tuple[int, int]]]:
                     on_path.remove(w)
 
 
-def enumerate_circuits(
-    g: MultiGraph, limit: int = DEFAULT_CIRCUIT_LIMIT
-) -> list[dict[int, int]]:
+def enumerate_circuits(g: MultiGraph) -> list[dict[int, int]]:
     """All circuits of :func:`iter_circuits`, sorted by their lists of
     edge indices.  Raises :class:`TooManyCircuits` when more than
-    ``limit`` distinct circuits exist."""
-    return sorted(iter_circuits(g, limit), key=sorted)
+    :data:`DEFAULT_CIRCUIT_LIMIT` distinct circuits exist."""
+    return sorted(iter_circuits(g), key=sorted)
 
 
 def spanning_tree(g: MultiGraph) -> Mapping[int, tuple[int, int]]:

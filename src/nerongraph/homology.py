@@ -96,18 +96,9 @@ class IntMatrix:
         m.rows, m.cols, m._data = len(data), cols, data
         return m
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(
-            (tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), cols=n
-        )
-
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         return self._data[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self._data[i]
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self._data)
@@ -115,29 +106,6 @@ class IntMatrix:
     def row_list(self) -> list[list[int]]:
         """Mutable copy of the entries."""
         return [list(row) for row in self._data]
-
-    def transpose(self) -> "IntMatrix":
-        data = tuple(zip(*self._data)) if self._data else ((),) * self.cols
-        return IntMatrix._trusted(data, self.rows)
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix((tuple(-x for x in row) for row in self._data), cols=self.cols)
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        cols = [other.column(j) for j in range(other.cols)]
-        return IntMatrix(
-            (
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self._data
-            ),
-            cols=other.cols,
-        )
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""

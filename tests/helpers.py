@@ -10,16 +10,20 @@ Smith reductions, c, the support and the
 torsor pairing w through the cycles of a fundamental basis
 (:class:`CyclePairing`), which the analysis no longer builds, and the
 breadth-first spanning tree grown from the ids (:func:`bfs_tree`), which
-the graph builds once from its index tables, and the canonical form of
+the graph builds once from its index tables, the vertices that stay
+reachable when one edge is deleted by a breadth-first search
+(:func:`reachable_without`), against the lowlink scan of
+:func:`~nerongraph.graph.bridges`, and the canonical form of
 the enumeration by every class-preserving permutation
 (:func:`canonical_pairs_by_permutations`), the enumeration's stream by
 canonicalising every augmentation
 (:func:`connected_multigraphs_by_every_augmentation`), and its rank
 filter by ranking every edge of every child
 (:func:`augmentations_by_child_ranks`).  The code that
-only the tests need lives here too: zero matrices, the main diagonal,
-the Bareiss determinant that checks Smith transforms are unimodular,
-the seeded random graph generator, the divisibility chain
+only the tests need lives here too: zero and identity matrices, the
+transpose and the product, the main diagonal, the decorations of a
+graph by id, the Bareiss determinant that checks Smith transforms are
+unimodular, the seeded random graph generator, the divisibility chain
 m1 | m2 | m3 | r * m1, the coboundary witness with its
 :class:`NotACycle`, and the coboundary matrix and the containment of
 generators in an image modulo q, which with
@@ -46,7 +50,6 @@ from nerongraph import (
     fundamental_cycle_basis,
     intersection_matrix,
     is_full_r_torsion,
-    is_nonseparating,
     is_r_divided,
     phi_group,
     phi_r_torsion,
@@ -70,6 +73,24 @@ class NotACycle(NeronGraphError):
 
 def zeros(rows: int, cols: int) -> IntMatrix:
     return IntMatrix(((0,) * cols for _ in range(rows)), cols=cols)
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix(((int(i == j) for j in range(n)) for i in range(n)), cols=n)
+
+
+def transpose(a: IntMatrix) -> IntMatrix:
+    return IntMatrix((a.column(j) for j in range(a.cols)), cols=a.rows)
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.cols != b.rows:
+        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    cols = [b.column(j) for j in range(b.cols)]
+    return IntMatrix(
+        ((sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.row_list()),
+        cols=b.cols,
+    )
 
 
 def main_diagonal(a: IntMatrix) -> tuple[int, ...]:
@@ -228,15 +249,24 @@ def random_connected_multigraph(
     )
 
 
+def decorations(g: MultiGraph) -> dict[str, dict]:
+    """The genera, thicknesses and stabilizers of ``g`` keyed by id: the
+    keyword arguments that rebuild them."""
+    ids = [e.id for e in g.edges]
+    return {
+        "vertex_genus": dict(zip(g.vertices, g.genera)),
+        "edge_thickness": dict(zip(ids, g.thicknesses)),
+        "edge_stabilizer": dict(zip(ids, g.stabilizers)),
+    }
+
+
 def scrambled(rng: random.Random, g: MultiGraph) -> MultiGraph:
     """The same decorated graph with its vertex order shuffled and each
     edge reversed with probability 1/2."""
     vertices = list(g.vertices)
     rng.shuffle(vertices)
     edges = [(e.id, e.tip, e.tail) if rng.random() < 0.5 else e for e in g.edges]
-    return MultiGraph(vertices, edges, vertex_genus=g.vertex_genus,
-                      edge_thickness=g.edge_thickness,
-                      edge_stabilizer=g.edge_stabilizer)
+    return MultiGraph(vertices, edges, **decorations(g))
 
 
 # -- oracles ----------------------------------------------------------------
@@ -247,11 +277,11 @@ def bfs_tree(g: MultiGraph) -> dict[int, tuple[int, int]]:
     scanned in input order, grown here from the ids: ``(parent vertex
     index, edge index)`` for every non-root vertex index, in the order
     the search reaches them."""
-    root = g.vertex_index(g.least_vertex())
+    root = g.vertices.index(min(g.vertices))
     neighbours: dict[int, list[tuple[int, int]]] = {}
     for ei, e in enumerate(g.edges):
-        if not e.is_loop:
-            u, w = g.vertex_index(e.tail), g.vertex_index(e.tip)
+        if e.tail != e.tip:
+            u, w = g.vertices.index(e.tail), g.vertices.index(e.tip)
             neighbours.setdefault(u, []).append((ei, w))
             neighbours.setdefault(w, []).append((ei, u))
     parent: dict[int, tuple[int, int]] = {}
@@ -265,6 +295,30 @@ def bfs_tree(g: MultiGraph) -> dict[int, tuple[int, int]]:
                 parent[w] = (u, ei)
                 queue.append(w)
     return parent
+
+
+def reachable_without(g: MultiGraph, start: int, skip_edge: int | None) -> set[int]:
+    """The vertex indices that a breadth-first search from ``start``
+    reaches without the edge of index ``skip_edge``, over the endpoints."""
+    neighbours: dict[int, list[tuple[int, int]]] = {}
+    for ei, (u, w) in enumerate(g.endpoints):
+        neighbours.setdefault(u, []).append((ei, w))
+        neighbours.setdefault(w, []).append((ei, u))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for ei, w in neighbours.get(u, []):
+            if ei != skip_edge and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def nonseparating_by_search(g: MultiGraph, ei: int) -> bool:
+    """Whether the endpoints of edge ``ei`` stay joined without it."""
+    tail, tip = g.endpoints[ei]
+    return tip in reachable_without(g, tail, ei)
 
 
 class CyclePairing:
@@ -289,7 +343,7 @@ class CyclePairing:
         b = len(cycles)
         gram = [[0] * b for _ in range(b)]
         for ei, members in through.items():
-            eta = g.thickness(g.edges[ei].id)
+            eta = g.thicknesses[ei]
             for i, si in members:
                 for j, sj in members:
                     gram[i][j] += eta * si * sj
@@ -301,7 +355,7 @@ class CyclePairing:
 
     def c(self) -> int:
         """gcd of the entries of G; 0 when the graph has no cycles."""
-        return reduce(gcd, (x for i in range(self.gram.rows) for x in self.gram.row(i)), 0)
+        return reduce(gcd, itertools.chain.from_iterable(self.gram.row_list()), 0)
 
     def tree_flow_pairing(self, degrees: Sequence[int]) -> tuple[int, ...]:
         """The pairing w of the basis with a tree flow that bounds the
@@ -314,9 +368,8 @@ class CyclePairing:
         flow = {}  # thickness(e) * f(e) on the tree edges
         for child in reversed(self.parent):  # children before parents
             up, ei = self.parent[child]
-            edge = g.edges[ei]
-            sign = 1 if g.vertex_index(edge.tip) == child else -1
-            flow[ei] = sign * below[child] * g.thickness(edge.id)
+            sign = 1 if g.endpoints[ei][1] == child else -1
+            flow[ei] = sign * below[child] * g.thicknesses[ei]
             below[up] += below[child]
         return tuple(
             sum(flow[ei] * sign for ei, sign in cycle.items() if ei in flow)
@@ -580,9 +633,9 @@ def phi_from_presentation(g: MultiGraph) -> tuple[int, ...]:
     computed through stacked Smith reductions, independent of phi_group.
     """
     boundary = boundary_matrix(g)
-    m = boundary * boundary.transpose()  # -M; same image lattice as M
+    m = matmul(boundary, transpose(boundary))  # -M; same image lattice as M
     _, d, v = homology._eliminate(boundary)
-    image_basis_source = boundary * v
+    image_basis_source = matmul(boundary, v)
     basis_cols = [
         image_basis_source.column(j)
         for j, d_j in enumerate(main_diagonal(d))
@@ -614,7 +667,8 @@ def regular_model_report(d: ReductionData) -> dict:
     gcd over all pairs of its circuits, the group verdict as Phi[r] = (Z/r)^b1, the
     torsor verdict as membership in the image of its intersection matrix
     modulo r, r-divided from its chains, and t and the twisted verdict
-    from a breadth-first search per edge of the given graph."""
+    from a breadth-first search per edge of the given graph
+    (:func:`reachable_without`)."""
     g, r = d.graph, d.r
     reg = thickness_subdivision(g)
     group = is_full_r_torsion(reg, r)
@@ -628,9 +682,10 @@ def regular_model_report(d: ReductionData) -> dict:
         "torsor_neron_finite": None,
         "twisted_roots_finite": None,
     }
-    for e in g.edges:
-        if is_nonseparating(g, e.id):
-            out["t"] = gcd(out["t"], g.thickness(e.id))
+    nonseparating = [nonseparating_by_search(g, ei) for ei in range(g.n_edges)]
+    for ei, eta in enumerate(g.thicknesses):
+        if nonseparating[ei]:
+            out["t"] = gcd(out["t"], eta)
     if d.multidegree is None:
         return out
     degrees = d.multidegree_vector() + (0,) * (reg.n_vertices - g.n_vertices)
@@ -638,14 +693,14 @@ def regular_model_report(d: ReductionData) -> dict:
         group and solve_mod(intersection_matrix(reg), degrees, r) is not None
     )
     twisted = True
-    root = g.vertex_index(g.least_vertex())
-    for i, e in enumerate(g.edges):
+    root = g.vertices.index(min(g.vertices))
+    for i, (tail, tip) in enumerate(g.endpoints):
         side = 1
-        if not is_nonseparating(g, e.id):
-            near = g._reachable_from(g.vertex_index(e.tail), skip_edge=i)
+        if not nonseparating[i]:
+            near = reachable_without(g, tail, i)
             if root not in near:
-                near = g._reachable_from(g.vertex_index(e.tip), skip_edge=i)
+                near = reachable_without(g, tip, i)
             side = sum(d.multidegree[g.vertices[v]] for v in near)
-        twisted = twisted and (g.stabilizer(e.id) * side) % r == 0
+        twisted = twisted and (g.stabilizers[i] * side) % r == 0
     out["twisted_roots_finite"] = twisted
     return out

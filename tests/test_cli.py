@@ -372,8 +372,8 @@ class TestParseInputDocument:
         name, data = parse_input_document(doc)
         assert name == "input"
         assert data.m1 == 1
-        assert data.graph.genus("a") == 0
-        assert data.graph.thickness("e") == 1
+        assert data.graph.genera == (0,)
+        assert data.graph.thicknesses == (1,)
         assert data.multidegree is None
 
     def test_r_required(self):
@@ -475,7 +475,8 @@ class TestRecordMessages:
 
     def test_valid_records_pass(self):
         name, data = parse_input_document(self.document("edges", _RECORDS["edges"]))
-        assert data.graph.thickness("e1") == 2 and data.graph.genus("v1") == 1
+        g = data.graph
+        assert g.thicknesses[g.edge_index("e1")] == 2 and g.genera[g.vertices.index("v1")] == 1
 
     def test_python_subclasses_still_accepted(self):
         # Callers in Python may pass subclasses of the JSON types, as
@@ -493,7 +494,8 @@ class TestRecordMessages:
             id=Id("e1"), tail="v0", tip="v1", thickness=Two.TWO))
         doc["vertices"][1] = collections.OrderedDict(id=Id("v1"), genus=Two.TWO)
         _, data = parse_input_document(doc)
-        assert data.graph.thickness("e1") == 2 and data.graph.genus("v1") == 2
+        g = data.graph
+        assert g.thicknesses[g.edge_index("e1")] == 2 and g.genera[g.vertices.index("v1")] == 2
 
 
 # Strings of the characters that json.dumps escapes, writes as \u

@@ -55,7 +55,7 @@ def _labelled(g):
 def _as_networkx(nx, g):
     h = nx.MultiGraph()
     h.add_nodes_from(range(g.n_vertices))
-    h.add_edges_from((g.vertex_index(e.tail), g.vertex_index(e.tip)) for e in g.edges)
+    h.add_edges_from(g.endpoints)
     return h
 
 
@@ -101,8 +101,7 @@ def test_all_graphs_valid_and_distinct(small_family):
     for g in small_family:
         assert g.n_edges <= 6
         key = (g.n_vertices, tuple(sorted(
-            tuple(sorted((g.vertex_index(e.tail), g.vertex_index(e.tip))))
-            for e in g.edges
+            tuple(sorted(pair)) for pair in g.endpoints
         )))
         assert key not in seen
         seen.add(key)
@@ -342,12 +341,12 @@ def test_random_graphs_valid_and_reproducible():
         assert g.n_edges <= 12
         assert betti1(g) >= 0
         assert [e[:] for e in g.edges] == [e[:] for e in h.edges]
-        assert g.vertex_genus == h.vertex_genus
+        assert g.vertices == h.vertices and g.genera == h.genera
 
 
 def test_random_graph_decorations():
     g = random_connected_multigraph(random.Random(2), thickness_range=(2, 5))
-    assert all(2 <= t <= 5 for t in g.edge_thickness.values())
+    assert all(2 <= t <= 5 for t in g.thicknesses)
 
 
 def test_verify_small_bounds():

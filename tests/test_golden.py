@@ -36,7 +36,7 @@ def fixture_document(name, graph, thickness, r):
     return {
         "name": f"{name}-thickness-{thickness}",
         "r": r,
-        "vertices": [{"id": v, "genus": graph.genus(v)} for v in graph.vertices],
+        "vertices": [{"id": v, "genus": genus} for v, genus in zip(graph.vertices, graph.genera)],
         "edges": [
             {"id": e.id, "tail": e.tail, "tip": e.tip, "thickness": thickness}
             for e in graph.edges

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+import nerongraph.graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from nerongraph import (
     total_genus,
 )
 from nerongraph.fixtures import fixture
-from nerongraph.graph import bridges, iter_circuits, spanning_tree
+from nerongraph.graph import bridges, iter_circuits, maximal_chains, spanning_tree
 
 from helpers import (
     banana,
@@ -32,6 +33,7 @@ from helpers import (
     cycle_graph,
     loop_graph,
     naive_circuits,
+    nonseparating_by_search,
     path_graph,
     random_connected_multigraph,
     scrambled,
@@ -43,13 +45,13 @@ class TestBuildGraph:
     def test_single_loop(self):
         g = MultiGraph(["v"], [("e", "v", "v")])
         assert g.n_vertices == 1 and g.n_edges == 1
-        assert g.edges[0].is_loop
+        assert g.endpoints == ((0, 0),)
 
     def test_defaults(self):
         g = banana()
-        assert g.genus("v0") == 0
-        assert g.thickness("e0") == 1
-        assert g.stabilizer("e1") == 1
+        assert g.genera == (0, 0)
+        assert g.thicknesses == (1, 1)
+        assert g.stabilizers == (1, 1)
 
     def test_disconnected_rejected(self):
         with pytest.raises(Disconnected):
@@ -80,9 +82,10 @@ class TestBuildGraph:
             banana(edge_thickness={"nope": 2})
 
     def test_degree_counts_loops_twice(self):
-        g = barbell()
-        assert g.degree("v0") == 3
-        assert loop_graph().degree("v0") == 2
+        # Each end of the barbell has a bridge and a loop, so degree 3
+        # and a chain ends there; a lone loop's vertex has degree 2.
+        assert maximal_chains(barbell()) == [[0], [1], [2]]
+        assert maximal_chains(loop_graph()) == [[0]]
 
 
 @st.composite
@@ -120,7 +123,7 @@ class TestStoredTables:
     def test_tables_match_the_ids(self, drawn):
         vertices, edges, genus, thickness, stabilizer = drawn
         g = MultiGraph(vertices, edges, genus, thickness, stabilizer)
-        assert g.vertex_index(g.least_vertex()) != 0
+        assert g.vertices == tuple(vertices) and vertices.index(min(vertices)) != 0
         tree = spanning_tree(g)
         assert list(tree.items()) == list(bfs_tree(g).items())
         assert len(tree) == g.n_vertices - 1
@@ -128,13 +131,10 @@ class TestStoredTables:
         assert g.endpoints == tuple(
             (vertices.index(tail), vertices.index(tip)) for _, tail, tip in edges)
         ids = [e[0] for e in edges]
-        assert dict(g.vertex_genus) == {v: genus.get(v, 0) for v in vertices}
-        assert dict(g.edge_thickness) == {e: thickness.get(e, 1) for e in ids}
-        assert dict(g.edge_stabilizer) == {e: stabilizer.get(e, 1) for e in ids}
-        assert list(g.vertex_genus) == vertices and list(g.edge_thickness) == ids
-        assert g.genera == tuple(g.genus(v) for v in vertices)
-        assert g.thicknesses == tuple(g.thickness(e) for e in ids)
-        assert g.stabilizers == tuple(g.stabilizer(e) for e in ids)
+        assert [g.edge_index(e) for e in ids] == list(range(len(ids)))
+        assert g.genera == tuple(genus.get(v, 0) for v in vertices)
+        assert g.thicknesses == tuple(thickness.get(e, 1) for e in ids)
+        assert g.stabilizers == tuple(stabilizer.get(e, 1) for e in ids)
 
     def test_string_ids_root_at_the_least_id(self):
         # "v10" < "v2" < "v9": the tree grows from v10, the second vertex.
@@ -191,14 +191,17 @@ class TestNonseparating:
 
 
 def assert_bridges_are_the_separating_edges(g):
-    separating = {g.edges[ei].id for ei in bridges(g)}
-    assert separating == {e.id for e in g.edges if not is_nonseparating(g, e.id)}
+    separating = {ei for ei in range(g.n_edges) if not nonseparating_by_search(g, ei)}
+    assert bridges(g) == separating
+    assert [is_nonseparating(g, e.id) for e in g.edges] == [
+        ei not in separating for ei in range(g.n_edges)]
 
 
 class TestBridges:
-    """``bridges`` against the per-edge search of ``is_nonseparating``,
-    on graphs whose vertex order is shuffled and whose edges are
-    reversed at random."""
+    """``bridges``, and ``is_nonseparating`` through it, against a
+    breadth-first search per edge that skips that edge
+    (``helpers.reachable_without``), on graphs whose vertex order is
+    shuffled and whose edges are reversed at random."""
 
     def test_small_graphs(self):
         assert bridges(loop_graph()) == frozenset()
@@ -261,9 +264,10 @@ class TestEnumerateCircuits:
         assert enumerate_circuits(banana()) == [{0: 1, 1: -1}]
         assert enumerate_circuits(theta(3)) == [{0: 1, 1: -1}, {0: 1, 2: -1}, {1: 1, 2: -1}]
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(nerongraph.graph, "DEFAULT_CIRCUIT_LIMIT", 2)
         with pytest.raises(TooManyCircuits):
-            enumerate_circuits(theta(4), limit=2)
+            enumerate_circuits(theta(4))
 
     def test_agrees_with_naive_dfs_exhaustively(self, small_family):
         for g in small_family:
@@ -274,8 +278,6 @@ class TestEnumerateCircuits:
         # so each would be walked in both directions; only one is closed,
         # and iter_circuits, which remembers no edge set, yields each
         # closed walk.
-        import nerongraph.graph
-
         inner, walks = nerongraph.graph._closed_walks, []
         monkeypatch.setattr(nerongraph.graph, "_closed_walks",
                             lambda g: (walks.append(w) or w for w in inner(g)))
@@ -291,13 +293,15 @@ class TestEnumerateCircuits:
             assert len({frozenset(c) for c in found}) == len(found)
             assert sorted(found, key=sorted) == enumerate_circuits(g)
 
-    def test_iter_circuits_honours_the_limit(self, small_family):
+    def test_iter_circuits_honours_the_limit(self, small_family, monkeypatch):
         # Up to the limit the circuits come out; the next one raises.
-        for g in small_family:
-            n = len(enumerate_circuits(g))
-            assert len(list(iter_circuits(g, limit=n))) == n
+        counts = [len(enumerate_circuits(g)) for g in small_family]
+        for g, n in zip(small_family, counts):
+            monkeypatch.setattr(nerongraph.graph, "DEFAULT_CIRCUIT_LIMIT", n)
+            assert len(list(iter_circuits(g))) == n
             if n:
-                circuits = iter_circuits(g, limit=n - 1)
+                monkeypatch.setattr(nerongraph.graph, "DEFAULT_CIRCUIT_LIMIT", n - 1)
+                circuits = iter_circuits(g)
                 assert len(list(itertools.islice(circuits, n - 1))) == n - 1
                 with pytest.raises(TooManyCircuits):
                     next(circuits)

@@ -36,13 +36,16 @@ from helpers import (
     coboundary_matrix,
     determinant,
     determinantal_divisors,
+    identity,
     loop_graph,
     main_diagonal,
+    matmul,
     path_graph,
     random_connected_multigraph,
     scrambled,
     span_mod,
     subgroup_contained_mod,
+    transpose,
     zeros,
 )
 
@@ -63,21 +66,20 @@ class TestIntMatrix:
         assert (m.rows, m.cols) == (2, 3)
         assert m[1, 2] == 6
         assert m.column(1) == (2, 5)
-        assert m.transpose().row(1) == (2, 5)
+        assert m.row_list()[1] == [4, 5, 6]
 
     def test_zero_dimensions(self):
         m = zeros(0, 3)
         assert (m.rows, m.cols) == (0, 3)
-        assert (m.transpose().rows, m.transpose().cols) == (3, 0)
-        product = zeros(2, 0) * zeros(0, 2)
-        assert product == zeros(2, 2)
+        assert m.apply((1, 2, 3)) == () and m.row_list() == []
+        assert zeros(2, 0).apply(()) == (0, 0)
+        assert zeros(0, 2) != zeros(0, 3)
 
     def test_multiplication(self):
         a = IntMatrix([[1, 2], [3, 4]])
-        b = IntMatrix([[0, 1], [1, 0]])
-        assert a * b == IntMatrix([[2, 1], [4, 3]])
+        assert a.apply((0, 1)) == (2, 4) and a.apply((1, 0)) == (1, 3)
         with pytest.raises(DimensionMismatch):
-            a * zeros(3, 3)
+            a.apply((1, 2, 3))
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
@@ -90,7 +92,7 @@ class TestIntMatrix:
         assert IntMatrix([[1], [2]]) != IntMatrix([[1, 2]])
 
     def test_determinant(self):
-        assert determinant(IntMatrix.identity(4)) == 1
+        assert determinant(identity(4)) == 1
         assert determinant(IntMatrix([[2, 0], [0, 3]])) == 6
         assert determinant(IntMatrix([[1, 2], [2, 4]])) == 0
         assert determinant(IntMatrix([], cols=0)) == 1
@@ -109,7 +111,7 @@ class TestIntMatrix:
                 total += (-1) ** j * pivot * cofactor(minor)
             return total
 
-        assert determinant(m) == cofactor([list(r) for r in (m.row(i) for i in range(m.rows))])
+        assert determinant(m) == cofactor(m.row_list())
 
 
 class TestGraphMatrices:
@@ -126,17 +128,17 @@ class TestGraphMatrices:
 
     def test_coboundary_is_transpose(self):
         for g in (banana(), path_graph(2), loop_graph()):
-            assert coboundary_matrix(g) == boundary_matrix(g).transpose()
+            assert coboundary_matrix(g) == transpose(boundary_matrix(g))
 
     def test_coboundary_is_transpose_exhaustively(self, small_family):
         for g in small_family:
             b = boundary_matrix(g)
-            assert coboundary_matrix(g) == b.transpose()
+            assert coboundary_matrix(g) == transpose(b)
             for j, e in enumerate(g.edges):
                 expected = [0] * g.n_vertices
-                if not e.is_loop:
-                    expected[g.vertex_index(e.tip)] = 1
-                    expected[g.vertex_index(e.tail)] = -1
+                if e.tail != e.tip:
+                    expected[g.vertices.index(e.tip)] = 1
+                    expected[g.vertices.index(e.tail)] = -1
                 assert b.column(j) == tuple(expected)
 
     def test_edgeless_shapes(self):
@@ -161,10 +163,11 @@ class TestGraphMatrices:
         for g in [h for h in small_family if h.n_edges <= 5]:
             b = boundary_matrix(g)
             m = intersection_matrix(g)
-            assert m == -(b * b.transpose())
-            assert m == m.transpose()
+            minus_m = matmul(b, transpose(b))
+            assert m.row_list() == [[-x for x in row] for row in minus_m.row_list()]
+            assert m == transpose(m)
             for i in range(m.rows):
-                assert sum(m.row(i)) == 0
+                assert sum(m.row_list()[i]) == 0
                 assert sum(m.column(i)) == 0
 
     def test_boundary_rank_and_nullity(self, small_family):
@@ -236,13 +239,13 @@ class TestKirchhoffMatrix:
             k = kirchhoff_matrix(g)
             gram = CyclePairing(g).gram
             assert k.rows == k.cols == g.n_vertices - 1 + sum(
-                g.thickness(e.id) > 1 for e in g.edges
+                eta > 1 for eta in g.thicknesses
             )
             expected = _phi_factors(intersection_matrix(thickness_subdivision(g)))
             assert _phi_factors(k) == expected
             assert _phi_factors(gram) == expected
             kirchhoff_chosen.add(k.rows < gram.rows)
-            with_loops.add(any(e.is_loop for e in g.edges))
+            with_loops.add(any(tail == tip for tail, tip in g.endpoints))
         smith_normal_form.cache_clear()
         assert kirchhoff_chosen == with_loops == {True, False}
 
@@ -287,8 +290,8 @@ class TestCyclePairingMatrix:
 
 class TestSmithNormalForm:
     def test_identity(self):
-        assert smith_normal_form(IntMatrix.identity(3)).diagonal == (1, 1, 1)
-        assert homology._eliminate(IntMatrix.identity(3))[1] == IntMatrix.identity(3)
+        assert smith_normal_form(identity(3)).diagonal == (1, 1, 1)
+        assert homology._eliminate(identity(3))[1] == identity(3)
 
     def test_zero(self):
         assert smith_normal_form(zeros(2, 3)).diagonal == (0, 0)
@@ -309,7 +312,7 @@ class TestSmithNormalForm:
     @staticmethod
     def assert_valid(m):
         u, d, v = homology._eliminate(m)
-        assert u * m * v == d
+        assert matmul(matmul(u, m), v) == d
         assert abs(determinant(u)) == 1
         assert abs(determinant(v)) == 1
         diag = smith_normal_form(m).diagonal
@@ -377,7 +380,7 @@ class TestSmithDiagonalOracle:
             [[diag[i] if i == j else 0 for j in range(m.cols)] for i in range(m.rows)],
             cols=m.cols,
         )
-        assert u * m * v == d
+        assert matmul(matmul(u, m), v) == d
         assert abs(determinant(u)) == 1
         assert abs(determinant(v)) == 1
 
@@ -418,7 +421,7 @@ class TestSmithDiagonalOracle:
         m = IntMatrix(entries)
         u, d, v = homology._eliminate(m)
         diag = invariant_factors(m)
-        assert main_diagonal(d) == diag and u * m * v == d
+        assert main_diagonal(d) == diag and matmul(matmul(u, m), v) == d
         padded = diag + (0,) * (m.cols - len(diag))
         for q in (4, 6):
             kernel = brute_kernel(m, q)
@@ -488,7 +491,7 @@ class TestEliminate:
     @settings(max_examples=300, deadline=None)
     def test_transforms(self, m):
         u, d, v = homology._eliminate(m)
-        assert u * m * v == d
+        assert matmul(matmul(u, m), v) == d
         assert abs(determinant(u)) == 1
         assert abs(determinant(v)) == 1
         diagonal = homology._smith_diagonal(m)
@@ -541,7 +544,7 @@ class TestSmithDiagonal:
     def test_fix_up_decides(self, rows, expected):
         m = IntMatrix(rows)
         assert homology._smith_diagonal(m) == expected
-        assert homology._smith_diagonal(-m) == expected
+        assert homology._smith_diagonal(IntMatrix([[-x for x in row] for row in rows])) == expected
         assert expected == invariant_factors(m)
         assert main_diagonal(homology._eliminate(m)[1]) == expected
 
@@ -603,16 +606,15 @@ class TestSolveMod:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            solve_mod(IntMatrix.identity(2), (1, 1, 1), 2)
+            solve_mod(identity(2), (1, 1, 1), 2)
 
     def test_wrong_decomposition_is_caught(self, monkeypatch):
         # An elimination that claims D = diag(1, 1) for diag(2, 3) with
         # identity transforms yields the "solution" (1, 1), which the
         # re-check must refuse.
         a = IntMatrix([[2, 0], [0, 3]])
-        identity = IntMatrix.identity(2)
-        monkeypatch.setattr(
-            homology, "_eliminate", lambda m: (identity, identity, identity))
+        one = identity(2)
+        monkeypatch.setattr(homology, "_eliminate", lambda m: (one, one, one))
         with pytest.raises(ArithmeticError, match="non-solution"):
             solve_mod(a, (1, 1), 4)
 

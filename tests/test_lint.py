@@ -85,3 +85,35 @@ def test_no_module_reads_another_modules_private_names():
             and node.value.id in modules and _private(node.attr)
         ]
     assert found == []
+
+
+def test_every_public_class_member_has_a_caller():
+    # A public method or property of a class in the package is read, as
+    # ``.name``, by the package, a demo, a README code block or the
+    # benchmark, outside its own definition; what only the tests read
+    # belongs in the tests.  A method counts only where it is called, so
+    # that ``report.genus``, a field, does not stand for a genus method.
+    modules = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    others = [ast.parse(source) for source in _caller_sources()]
+    others += [ast.parse(path.read_text()) for path in sorted((ROOT / "bench").glob("*.py"))]
+    members = [
+        (cls.name, member)
+        for tree in modules
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+    ]
+    nodes = [node for tree in modules + others for node in ast.walk(tree)]
+    called = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+    reads = [node for node in nodes
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for cls, member in members:
+        is_property = any(isinstance(d, ast.Name) and d.id == "property"
+                          for d in member.decorator_list)
+        inside = {id(node) for node in ast.walk(member)}
+        if not any(node.attr == member.name and id(node) not in inside
+                   and (is_property or id(node) in called) for node in reads):
+            unread.append(f"{cls}.{member.name}")
+    assert members
+    assert unread == [], "only the tests read " + ", ".join(unread)
