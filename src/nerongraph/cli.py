@@ -22,13 +22,13 @@ is idempotent.
 
 The machine report is the text of ``json.dumps(report, indent=2)``, but
 not written by it: at an indent, ``json.dumps`` leaves its C encoder for
-the pure-Python one, which cost more than the parsing.  The vertex and
-edge records, nearly all of a report, are written by one template each,
-with strings escaped by ``json.encoder.encode_basestring_ascii`` (the
-escaper ``json.dumps`` uses) and integers by ``int.__repr__``; a short
-recursive writer does the rest.  The tests hold it to ``json.dumps``.
-In the same way the parser tests each well-formed record in one
-expression and names the field only for a record that fails.
+the pure-Python one, which cost more than the parsing.  One template
+writes the whole report, escaping strings with
+``json.encoder.encode_basestring_ascii`` as ``json.dumps`` does; the
+tests hold it to ``json.dumps``.  In the same way the parser tests each
+well-formed record in one expression and names the field only for a
+record that fails, and :func:`main` hands what follows a subcommand's
+name straight to that subcommand's parser.
 
 Exit codes: 0 success, 1 counterexample found by verify-lemma, 2 input
 or validation error, or a stdout that refuses the output (a closed pipe,
@@ -274,67 +274,54 @@ _quoted = json.encoder.encode_basestring_ascii
 _int_text = int.__repr__
 
 
-class _Text(str):
-    """JSON text already written, which :func:`_json_text` copies as is."""
-
-
-def _json_text(value: Any, newline: str) -> str:
-    """``json.dumps(value, indent=2)`` for strings, integers, booleans,
-    None, lists and dicts with string keys, with ``newline``
-    the line break and indentation of the line that holds ``value``."""
-    if type(value) is _Text:
-        return value
+def _scalar_text(value: Any, newline: str) -> str:
+    """``json.dumps(value, indent=2)`` for a string, integer, boolean,
+    None or list of them, on the line that ``newline`` starts."""
     if isinstance(value, str):
         return _quoted(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return _int_text(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",".join(f"{inner}{_quoted(k)}: {_json_text(v, inner)}"
-                         for k, v in value.items())
-        return f"{{{items}{newline}}}"
     if isinstance(value, list):
-        if not value:
-            return "[]"
-        items = ",".join(inner + _json_text(v, inner) for v in value)
-        return f"[{items}{newline}]"
+        inner = newline + "  "
+        items = ",".join([inner + _scalar_text(v, inner) for v in value])
+        return f"[{items}{newline}]" if value else "[]"
     raise TypeError(f"cannot write a {type(value).__name__} as JSON")
 
 
-def _records_text(lines: list[str]) -> _Text:
-    """A list, at depth 2 of the report, of records already written."""
-    return _Text(f"[{','.join(lines)}\n    ]" if lines else "[]")
+def _section_text(fields: dict, newline: str) -> str:
+    """``json.dumps(fields, indent=2)`` for a dict of string keys and
+    :func:`_scalar_text` values, on the line that ``newline`` starts."""
+    inner = newline + "  "
+    items = ",".join([f"{inner}{_quoted(k)}: {_scalar_text(v, inner)}"
+                      for k, v in fields.items()])
+    return f"{{{items}{newline}}}" if fields else "{}"
 
 
 def _machine_text(doc: dict) -> str:
-    """Exactly ``json.dumps(doc, indent=2)`` for a :func:`report_document`.
-
-    The records of ``input.vertices`` and ``input.edges``, nearly all of
-    a report, are written by one template each; :func:`_json_text`
-    writes the rest."""
+    """Exactly ``json.dumps(doc, indent=2)`` for a :func:`report_document`,
+    from one template, with a template for each vertex and edge record
+    (nearly all of a report) and :func:`_section_text` for the sections."""
     given = doc["input"]
-    vertices = [
+    vertices = ",".join([
         f'\n      {{\n        "id": {_quoted(v["id"])},\n        "genus": '
-        f'{_int_text(v["genus"])}\n      }}'
-        for v in given["vertices"]
-    ]
-    edges = [
+        f'{_int_text(v["genus"])}\n      }}' for v in given["vertices"]])
+    edges = ",".join([
         f'\n      {{\n        "id": {_quoted(e["id"])},\n        "tail": '
         f'{_quoted(e["tail"])},\n        "tip": {_quoted(e["tip"])},\n        '
         f'"thickness": {_int_text(e["thickness"])},\n        "stabilizer": '
-        f'{_int_text(e["stabilizer"])}\n      }}'
-        for e in given["edges"]
-    ]
-    written = dict(given, vertices=_records_text(vertices), edges=_records_text(edges))
-    return _json_text(dict(doc, input=written), "\n")
+        f'{_int_text(e["stabilizer"])}\n      }}' for e in given["edges"]])
+    vertices, edges = (f"[{text}\n    ]" if text else "[]" for text in (vertices, edges))
+    multidegree = ("" if "multidegree" not in given else ',\n    "multidegree": '
+                   + _section_text(given["multidegree"], "\n    "))
+    tool, assumptions, report = (_section_text(doc[key], "\n  ")
+                                 for key in ("tool", "assumptions", "report"))
+    return (
+        f'{{\n  "tool": {tool},\n  "input": {{\n    "name": {_quoted(given["name"])},'
+        f'\n    "r": {_int_text(given["r"])},\n    "m1": {_int_text(given["m1"])},'
+        f'\n    "vertices": {vertices},\n    "edges": {edges}{multidegree}\n  }},'
+        f'\n  "assumptions": {assumptions},\n  "report": {report}\n}}')
 
 
 # -- subcommands -------------------------------------------------------------
@@ -515,19 +502,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-edges", type=int, default=6)
     p_verify.add_argument("--max-q", type=int, default=6)
 
+    parser.subcommands = sub.choices  # name -> parser, as argparse keeps them
     return parser
 
 
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`build_parser`, built on the first call and
-    shared by every later one; ``parse_args`` fills a fresh namespace
-    each time, so no call sees another's arguments."""
+    """The parser of :func:`build_parser`, with its ``subcommands``
+    map, built on the first call and shared by every later one; each
+    parse fills a fresh namespace, so no call sees another's arguments."""
     return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    """Run the command that ``argv`` (default ``sys.argv[1:]``) names,
+    parsing what follows a subcommand's name with that subcommand's
+    parser alone.  The full parser parses again when no subcommand is
+    named or an argument is left over, and so prints each help text and
+    usage error that it would print on its own."""
+    argv = sys.argv[1:] if argv is None else argv
+    sub = _parser().subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if sub is None or rest:
+        args = _parser().parse_args(argv)
     # Looked up on every call, not kept in the shared parser, so that a
     # command replaced on this module (by a test or a tracer) is the one
     # that runs.

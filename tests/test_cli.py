@@ -742,3 +742,58 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == f"nerongraph {__version__}"
+
+
+# Argument vectors for the parsing oracle; PATH stands for the banana's file.
+_ARGVS = (
+    [], ["--version"], ["-h"], ["frobnicate"], ["ANALYZE"],
+    ["analyze"], ["analyze", "-h"], ["table", "x"],
+    ["analyze", "PATH", "--format", "bogus"], ["analyze", "PATH", "--r", "x"],
+    ["analyze", "PATH", "--r"], ["analyze", "PATH", "--bogus"], ["analyze", "PATH", "-x"],
+    ["analyze", "PATH", "extra"],
+    ["analyze", "PATH"], ["analyze", "PATH", "--format", "machine"],
+    ["analyze", "PATH", "--form", "machine"], ["analyze", "PATH", "--r", "3", "--r", "4"],
+    ["analyze", "--", "PATH"], ["--", "analyze", "PATH"], ["analyze", "--r", "4", "PATH"],
+    ["table"], ["table", "--r", "3"], ["table", "--r", "8"],
+    ["verify-lemma", "--max-edges", "2", "--max-q", "2"], ["verify-lemma", "--max-edges"],
+)
+
+
+def _run(argv):
+    """(exit status, stdout, stderr) of ``main(argv)``, a ``SystemExit``
+    from the parser included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
+
+
+class TestArgumentParsing:
+    """main parses what follows a subcommand's name with that
+    subcommand's parser; the full parser alone is the reference."""
+
+    @pytest.mark.parametrize("argv", _ARGVS, ids=[" ".join(a) or "no-arguments" for a in _ARGVS])
+    def test_same_as_the_full_parser(self, tmp_path, monkeypatch, argv):
+        import nerongraph.cli as cli
+
+        path = write(tmp_path, BANANA_DOC)
+        argv = [path if a == "PATH" else a for a in argv]
+        got = _run(argv)
+        full = cli.build_parser()
+        full.subcommands = {}  # no subcommand's parser is used alone
+        monkeypatch.setattr(cli, "_parser", lambda: full)
+        assert got == _run(argv)
+
+    def test_only_a_leftover_reaches_the_full_parser(self, tmp_path, monkeypatch):
+        import nerongraph.cli as cli
+
+        full, seen = cli._parser(), []
+        parse_args = full.parse_args
+        monkeypatch.setattr(full, "parse_args", lambda argv: seen.append(argv) or parse_args(argv))
+        path = write(tmp_path, BANANA_DOC)
+        assert _run(["analyze", path, "--r", "2"])[0] == 0 and seen == []
+        assert _run(["analyze", path, "extra"])[0] == 2
+        assert seen == [["analyze", path, "extra"]]

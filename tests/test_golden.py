@@ -86,6 +86,15 @@ def test_report_byte_identical(tmp_path, golden, text):
     assert machine_report(tmp_path, text) == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("golden", [n for n, _ in CASES])
+def test_echo_round_trip_byte_identical(tmp_path, golden):
+    # Re-analysing the normalised input a report echoes gives that
+    # report again, byte for byte.
+    pinned = (GOLDEN / golden).read_text()
+    echo = json.dumps(json.loads(pinned)["input"])
+    assert machine_report(tmp_path, echo) == pinned
+
+
 if __name__ == "__main__":
     import tempfile
 
