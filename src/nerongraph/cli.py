@@ -30,9 +30,13 @@ well-formed record in one expression and names the field only for a
 record that fails, and :func:`main` hands what follows a subcommand's
 name straight to that subcommand's parser.
 
+``analyze --r`` writes its r into the document before it is checked.
+Every refusal, of the input or by stdout, is a :class:`NeronGraphError`
+that :func:`main` alone reports, as one ``error:`` line.
+
 Exit codes: 0 success, 1 counterexample found by verify-lemma, 2 input
 or validation error, or a stdout that refuses the output (a closed pipe,
-a full disk).
+a full disk, a character its encoding lacks).
 """
 
 from __future__ import annotations
@@ -212,26 +216,28 @@ def _too_long_to_print(n: int) -> bool:
 
 
 def _check_printable(data: ReductionData) -> None:
-    """Raise :class:`BoundsTooLarge` when the generic torsion count
-    r^(2 * genus), the largest count a report prints, is too long to
-    print.  This runs before the count is computed and in integers
-    only, so a huge genus costs nothing."""
+    """Raise :class:`BoundsTooLarge` when the total genus, or the generic
+    torsion count r^(2 * genus), the largest count a report prints, is
+    too long to print, at every r.  This runs before the count is
+    computed and in integers only: the power is computed only when its
+    bit length leaves the answer open, so neither an ordinary call nor a
+    huge genus computes it."""
     limit = sys.get_int_max_str_digits()
-    genus, r = total_genus(data.graph), data.r
-    if limit == 0 or r == 1:
+    if limit == 0:
         return
+    genus, r = total_genus(data.graph), data.r
     # With b = r.bit_length(), 2^(k * (b - 1)) <= r^k < 2^(k * b), and
     # 2^(3 * limit) < 10^limit < 2^(4 * limit); only in between is r^k
     # computed, and then it has fewer than 8 * limit bits.
     k, b = 2 * genus, r.bit_length()
-    if k * (b - 1) >= 4 * limit or (k * b > 3 * limit and r ** k >= 10 ** limit):
-        shown_genus = (f"of more than {limit} digits" if _too_long_to_print(genus)
-                       else shown(str(genus)))
+    long_genus = _too_long_to_print(genus)
+    long_count = k * (b - 1) >= 4 * limit or (k * b > 3 * limit and _too_long_to_print(r ** k))
+    if long_genus or long_count:
+        shown_genus = f"of more than {limit} digits" if long_genus else shown(str(genus))
+        outcome = (f"gives a torsion count r^(2 * genus) of more than {limit} digits, too "
+                   "long to print" if long_count else "is too long to print")
         raise BoundsTooLarge(
-            f"genus, r: total genus {shown_genus} with r = {shown(str(r))} gives "
-            f"a torsion count r^(2 * genus) of more than {limit} digits, too long "
-            "to print"
-        )
+            f"genus, r: total genus {shown_genus} with r = {shown(str(r))} {outcome}")
 
 
 def report_document(name: str, data: ReductionData, report: AnalysisReport) -> dict:
@@ -333,20 +339,19 @@ def _yesno(flag: bool | None) -> str:
     return "yes" if flag else "no"
 
 
-class _OutputRefused(Exception):
-    """stdout refused a command's output: a closed pipe or a full disk."""
-
-
 def _write_lines(lines: Iterable[str]) -> None:
-    """Write a command's output to stdout and flush it, so that a stdout
-    that refuses it fails here, where :func:`main` reports it, and not
-    at exit."""
+    """Write a command's output to stdout and flush it.  A stdout that
+    refuses it (a closed pipe, a full disk, a character its encoding
+    lacks) is pointed at the null device, and the refusal raised as a
+    :class:`NeronGraphError` for :func:`main` to report."""
     text = "".join(f"{line}\n" for line in lines)
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
-    except OSError as exc:
-        raise _OutputRefused(exc.strerror or str(exc)) from exc
+    except (OSError, UnicodeEncodeError) as exc:
+        _discard_stdout()
+        reason = getattr(exc, "strerror", None) or exc
+        raise NeronGraphError(f"cannot write the output: {reason}") from exc
 
 
 def _discard_stdout() -> None:
@@ -390,28 +395,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         with open(args.path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ParseError(str(exc))
     except UnicodeDecodeError:
-        print(f"error: {args.path}: not UTF-8 text", file=sys.stderr)
-        return 2
+        raise ParseError(f"{args.path}: not UTF-8 text")
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
-        print(f"error: {args.path}: line {exc.lineno}, column {exc.colno}: {exc.msg}",
-              file=sys.stderr)
-        return 2
+        raise ParseError(f"{args.path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except RecursionError:
-        print(f"error: {args.path}: arrays or objects nested too deeply", file=sys.stderr)
-        return 2
+        raise ParseError(f"{args.path}: arrays or objects nested too deeply")
     except ValueError as exc:  # an integer literal past the digit limit
-        print(f"error: {args.path}: {exc}", file=sys.stderr)
-        return 2
+        raise ParseError(f"{args.path}: {exc}")
+    if args.r is not None and isinstance(obj, dict):
+        obj = {**obj, "r": args.r}  # checked at the r that is analysed
     name, data = parse_input_document(obj)
-    if args.r is not None:
-        data = ReductionData(
-            graph=data.graph, r=args.r, m1=data.m1, multidegree=data.multidegree
-        )
     _check_printable(data)
     report = analyze(data)
     # c and the factors of Phi divide its order; every other number in the
@@ -519,7 +516,9 @@ def main(argv: list[str] | None = None) -> int:
     parsing what follows a subcommand's name with that subcommand's
     parser alone.  The full parser parses again when no subcommand is
     named or an argument is left over, and so prints each help text and
-    usage error that it would print on its own."""
+    usage error that it would print on its own.  A command refuses its
+    input or output by raising :class:`NeronGraphError`, which this one
+    handler reports as one ``error:`` line on stderr and exit status 2."""
     argv = sys.argv[1:] if argv is None else argv
     sub = _parser().subcommands.get(argv[0]) if argv else None
     if sub is not None:
@@ -535,10 +534,6 @@ def main(argv: list[str] | None = None) -> int:
         return command(args)
     except NeronGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _OutputRefused as exc:
-        _discard_stdout()
-        print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 2
 
 

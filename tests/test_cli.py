@@ -61,6 +61,14 @@ class TestAnalyze:
         out = json.loads(capsys.readouterr().out)
         assert out["input"]["r"] == 3
         assert out["report"]["group_neron_finite"] is False
+        # --r replaces the document's r before the document is checked:
+        # a multidegree of total 2 is valid at r = 2 whatever the
+        # document's own r, and that r may be missing or out of range.
+        no_r = {k: v for k, v in BANANA_DOC.items() if k != "r"}
+        for doc in (dict(BANANA_DOC, r=3), no_r, dict(BANANA_DOC, r=0)):
+            assert main(["analyze", write(tmp_path, doc), "--r", "2",
+                         "--format", "machine"]) == 0
+            assert json.loads(capsys.readouterr().out)["input"]["r"] == 2
 
     def test_r_override_incompatible_with_multidegree(self, tmp_path, capsys):
         assert main(["analyze", write(tmp_path, BANANA_DOC), "--r", "3"]) == 2
@@ -183,18 +191,20 @@ class TestAnalyze:
     @pytest.mark.parametrize("fmt", ["table", "machine"])
     def test_huge_genus_rejected(self, tmp_path, capsys, fmt):
         # 10^400 is past the range of a float; two genera of 4300 digits
-        # parse, but their sum has more digits than str() converts.  The
-        # message shows the genus cut short, or only its size.
+        # parse, but their sum has more digits than str() converts, which
+        # the report prints even at r = 1, where the torsion count is 1.
+        # The message shows the genus cut short, or only its size.
         big = 10**4300 - 1
-        for genera in ([10000], [10**400], [big, big]):
-            doc = {"r": 2,
+        for r, genera in ((2, [10000]), (2, [10**400]), (2, [big, big]), (1, [big, big])):
+            doc = {"r": r,
                    "vertices": [{"id": f"v{i}", "genus": x} for i, x in enumerate(genera)],
                    "edges": [{"id": f"e{i}", "tail": "v0", "tip": f"v{i}"}
                              for i in range(1, len(genera))]}
             assert main(["analyze", write(tmp_path, doc), "--format", fmt]) == 2
             captured = capsys.readouterr()
-            assert "genus" in captured.err and "r = 2" in captured.err
+            assert "genus" in captured.err and f"r = {r}" in captured.err
             assert captured.out == "" and len(captured.err) < 300
+            assert ("torsion count" in captured.err) == (r > 1)
 
     def test_genus_limit_is_exact(self, tmp_path, capsys):
         # 10^(2g) has 2g + 1 digits: 4299 prints, 4301 does not.
@@ -327,11 +337,11 @@ class TestOutputErrors:
             f"error: cannot write the output: {error.strerror}\n")
 
     @staticmethod
-    def run_cli(argv, stdout):
+    def run_cli(argv, stdout, **env):
         import nerongraph
 
         src = pathlib.Path(nerongraph.__file__).parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src))
+        env = dict(os.environ, PYTHONPATH=str(src), **env)
         return subprocess.run([sys.executable, "-m", "nerongraph.cli", *argv],
                               stdout=stdout, stderr=subprocess.PIPE, text=True,
                               env=env, timeout=60)
@@ -353,6 +363,19 @@ class TestOutputErrors:
             os.close(written)
         assert result.returncode == 2
         assert result.stderr == "error: cannot write the output: Broken pipe\n"
+
+    @pytest.mark.parametrize("name,encoding", [("x\ud800", "utf-8"), ("caf\u00e9", "ascii")],
+                             ids=["lone-surrogate", "ascii-stdout"])
+    def test_unencodable_name(self, tmp_path, name, encoding):
+        # The table report writes the name as it is; an in-process run
+        # cannot show this, since a StringIO accepts any string.
+        doc = {"name": name, "r": 2, "vertices": [{"id": "v0"}]}
+        result = self.run_cli(["analyze", write(tmp_path, doc)], subprocess.PIPE,
+                              PYTHONIOENCODING=encoding)
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith(
+            f"error: cannot write the output: '{encoding}' codec can't encode character")
+        assert result.stderr.count("\n") == 1
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_device(self):
@@ -610,13 +633,15 @@ class TestFuzzedDocuments:
     """Every mutated document is analysed or refused with one line."""
 
     @settings(max_examples=200, deadline=None)
-    @given(doc=mutated_documents(), machine=st.booleans())
-    def test_answers_or_refuses_in_one_line(self, tmp_path_factory, doc, machine):
+    @given(doc=mutated_documents(), machine=st.booleans(),
+           r=st.one_of(st.none(), st.integers(1, 12)))
+    def test_answers_or_refuses_in_one_line(self, tmp_path_factory, doc, machine, r):
         path = tmp_path_factory.getbasetemp() / "fuzzed.json"
         path.write_text(json.dumps(doc))
+        argv = ["analyze", str(path)] + (["--format", "machine"] if machine else [])
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["analyze", str(path)] + (["--format", "machine"] if machine else []))
+            code = main(argv + ([] if r is None else ["--r", str(r)]))
         assert code in (0, 2)
         if code == 0:
             assert err.getvalue() == "" and out.getvalue()

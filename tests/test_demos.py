@@ -10,6 +10,7 @@ deliberate change to what a demo prints, regenerate them with
 
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -72,6 +73,27 @@ def test_readme_quick_start_prints_what_its_comments_say():
         "report.group_neron_finite", "report.torsor_neron_finite", "report.phi",
         "report.m2, report.m3",
     ]
+
+
+def test_readme_command_lines_run(monkeypatch):
+    # Each ``nerongraph ...`` line of the README's command line block,
+    # without its comment and its ``| jq`` pipe, exits 0 from the root.
+    from nerongraph.cli import main
+
+    root = pathlib.Path(__file__).parent.parent
+    readme = (root / "README.md").read_text()
+    (block,) = re.findall(r"^## Command line\n\n```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    argvs = [shlex.split(re.split(r" +[#|]", line)[0])[1:]
+             for line in block.splitlines() if line.startswith("nerongraph ")]
+    monkeypatch.chdir(root)
+    for argv in argvs:
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # --version
+            status = exc.code
+        assert status == 0, argv
+    assert ["analyze", "demos/data/thick_banana.json", "--r", "6"] in argvs
+    assert ["--version"] in argvs and len(argvs) == 6
 
 
 if __name__ == "__main__":

@@ -117,3 +117,41 @@ def test_every_public_class_member_has_a_caller():
             unread.append(f"{cls}.{member.name}")
     assert members
     assert unread == [], "only the tests read " + ", ".join(unread)
+
+
+def _starts(node: ast.AST, prefix: str) -> bool:
+    """Whether ``node`` is a string, or an f-string, that starts with
+    ``prefix``."""
+    if isinstance(node, ast.JoinedStr) and node.values:
+        node = node.values[0]
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.startswith(prefix))
+
+
+def test_only_main_writes_error_lines():
+    # A command refuses its input or output by raising NeronGraphError,
+    # and main's one handler writes the error line: no other code in the
+    # command line front end holds an "error: " string or names stderr,
+    # except the counterexample lines of verify-lemma.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    found, handlers = [], None
+    for stmt in tree.body:
+        name = getattr(stmt, "name", "module")
+        if name == "main":
+            handlers = [n for n in ast.walk(stmt) if isinstance(n, ast.ExceptHandler)]
+            continue
+        allowed = {
+            id(kw.value)
+            for node in ast.walk(stmt)
+            if name == "cmd_verify_lemma" and isinstance(node, ast.Call) and node.args
+            and _starts(node.args[0], "counterexample: ")
+            for kw in node.keywords
+        }
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Constant) and _starts(node, "error: "):
+                found.append(f"{name}:{node.lineno} holds an error: string")
+            elif (isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stderr"
+                  and id(node) not in allowed):
+                found.append(f"{name}:{node.lineno} names sys.stderr")
+    assert found == []
+    assert handlers is not None and len(handlers) == 1
