@@ -207,12 +207,19 @@ def normalized_document(name: str, data: ReductionData) -> dict:
     return doc
 
 
+def _digit_limit() -> int:
+    """The interpreter's limit on printed digits,
+    ``sys.get_int_max_str_digits()``, or its default when the limit is
+    off (0): the limit that bounds every number a report prints, and so
+    the work of computing it."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def _too_long_to_print(n: int) -> bool:
-    """Whether ``str(n)`` would pass the interpreter's limit on printed
-    digits (``sys.get_int_max_str_digits()``; 0 means no limit)."""
-    limit = sys.get_int_max_str_digits()
+    """Whether ``n`` has more digits than :func:`_digit_limit`."""
+    limit = _digit_limit()
     # 2^(3 * limit) < 10^limit, so short numbers skip the exact test.
-    return limit != 0 and n.bit_length() > 3 * limit and n >= 10 ** limit
+    return n.bit_length() > 3 * limit and n >= 10 ** limit
 
 
 def _check_printable(data: ReductionData) -> None:
@@ -222,9 +229,7 @@ def _check_printable(data: ReductionData) -> None:
     computed and in integers only: the power is computed only when its
     bit length leaves the answer open, so neither an ordinary call nor a
     huge genus computes it."""
-    limit = sys.get_int_max_str_digits()
-    if limit == 0:
-        return
+    limit = _digit_limit()
     genus, r = total_genus(data.graph), data.r
     # With b = r.bit_length(), 2^(k * (b - 1)) <= r^k < 2^(k * b), and
     # 2^(3 * limit) < 10^limit < 2^(4 * limit); only in between is r^k
@@ -416,7 +421,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if _too_long_to_print(report.phi.order):
         raise BoundsTooLarge(
             "edges: the thicknesses give a component group whose order has "
-            f"more than {sys.get_int_max_str_digits()} digits, too long to print"
+            f"more than {_digit_limit()} digits, too long to print"
         )
     if args.format == "machine":
         _write_lines([_machine_text(report_document(name, data, report))])

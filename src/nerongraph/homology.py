@@ -21,7 +21,11 @@ rounded to the nearest integer (Havas and Majewski, 1997), which
 changes a row below only at the nonzero columns of the pivot row, and
 the pivot's row to balanced remainders modulo the pivot, skips the
 divisibility step and puts the diagonal in divisibility order at the
-end by pairwise gcd and lcm.
+end by pairwise gcd and lcm.  A dense square tail left without ±1
+pivots is finished instead from its determinant and the gcd g of it
+and four of its minors, by Bareiss elimination and then elimination
+modulo the prime powers of g (:func:`_tail_by_determinant`), whose
+entries stay small where those of Euclid grow.
 The invariant factors (and so the component group) need nothing more,
 and :func:`smith_normal_form` memoises that diagonal and nothing else.
 :func:`_eliminate` computes D with the unimodular transforms U and V
@@ -51,10 +55,11 @@ from .graph import MultiGraph
 #: :func:`~nerongraph.invariants.analyze` and
 #: :func:`~nerongraph.component_group.phi_group` Smith-reduce.  Random
 #: unit-thickness documents with E = 2V, whose presentation is the
-#: (V - 1)-dimensional Kirchhoff matrix, took 0.7-0.8 s to analyze at
-#: dimension 400 on a 2-core x86-64 host (0.9-1.2 s in vertex order),
-#: and their Smith diagonal alone 0.8 s at 420 (1.1-1.4 s).  Thick edges
-#: make the entries, and the time, grow further.
+#: (V - 1)-dimensional Kirchhoff matrix, took 0.33-0.38 s to analyze at
+#: dimension 400 on a 2-core x86-64 host (0.54-0.66 s before their tail
+#: was finished from its determinant), and their Smith diagonal alone
+#: 0.40-0.45 s at 420 (0.62-0.74 s).  Thick edges make the entries, and
+#: the time, grow further.
 MAX_PRESENTATION_DIMENSION = 400
 
 
@@ -158,6 +163,100 @@ def _unit_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
     return _pivot(d, t)
 
 
+def _tail_by_determinant(d: list[list[int]], t: int) -> list[int] | None:
+    """The Smith diagonal of the square block T of d from (t, t), from
+    its determinant, or None when T is singular or when g below keeps a
+    factor of 2**32 or more once its primes below 2**16 are divided out.
+    d is not changed.
+
+    Bareiss elimination with row swaps gives det T, and after its step
+    k - 3 the trailing 2x2 block holds four (k - 1)-minors of T, up to
+    sign.  Their gcd g with det T is a multiple of the (k - 1)-th
+    determinantal divisor s_1...s_{k-1}, and it divides det T.  So each
+    s_i with i < k divides g, and for each prime power p**e that exactly
+    divides g, the Smith diagonal of T modulo p**e
+    (:func:`_exponents_modulo`) holds the power of p in s_1, ...,
+    s_{k-1}; s_k is |det T| over their product.  With g = 1 that is 1,
+    ..., 1, |det T|.  The entries modulo p**e stay small, unlike those
+    of a reduction modulo det T.
+    """
+    m = [row[t:] for row in d[t:]]
+    k = len(m)
+    previous = 1
+    for p in range(k - 2):
+        if not m[p][p]:
+            i = next((i for i in range(p + 1, k) if m[i][p]), None)
+            if i is None:
+                return None
+            m[p], m[i] = m[i], m[p]  # a sign the minors do not need
+        prow = m[p]
+        pivot = prow[p]
+        for row in m[p + 1:]:
+            x = row[p]
+            row[p + 1:] = [(pivot * y - x * z) // previous
+                           for y, z in zip(row[p + 1:], prow[p + 1:])]
+        previous = pivot
+    (w, x), (y, z) = m[k - 2][k - 2:], m[k - 1][k - 2:]
+    det = abs((w * z - x * y) // previous)
+    if not det:
+        return None
+    g = gcd(det, w, x, y, z)
+    powers, p = [], 2
+    while g > 1 and p * p <= g and p < 2**16:
+        e = 0
+        while g % p == 0:
+            g //= p
+            e += 1
+        if e:
+            powers.append((p, e))
+        p += 1
+    if g >= 2**32:
+        return None  # perhaps composite, with no factor below 2**16
+    if g > 1:
+        powers.append((g, 1))
+    block = [row[t:] for row in d[t:]]
+    factors = [1] * (k - 1)
+    for p, e in powers:
+        for i, v in enumerate(_exponents_modulo(block, p, e)[:-1]):
+            factors[i] *= p**v
+    rest = det
+    for s_i in factors:
+        rest //= s_i
+    return factors + [rest]
+
+
+def _exponents_modulo(block: list[list[int]], p: int, e: int) -> list[int]:
+    """The exponents of the prime p in the Smith diagonal of the square
+    ``block`` modulo p**e, ascending: min(v_p(s_i), e) for each factor
+    s_i.  Entries stay below the modulus.  Each step divides every entry,
+    and the modulus, by the power of p in their gcd; an entry then prime
+    to p is a unit modulo what is left, and clears its column."""
+    q = p**e
+    m = [[x % q for x in row] for row in block]
+    found, level = [], 0
+    while m:
+        common = gcd(*(gcd(*row) for row in m))
+        if not common:
+            break  # every entry is 0 modulo q
+        v = 0
+        while common % p == 0:
+            common //= p
+            v += 1
+        if v:
+            m = [[x // p**v for x in row] for row in m]
+            q //= p**v
+            level += v
+        i, j = next((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x % p)
+        prow = m.pop(i)
+        inverse = pow(prow[j], -1, q)
+        for r, row in enumerate(m):
+            if f := row[j] * inverse % q:
+                row = m[r] = [(x - f * y) % q for x, y in zip(row, prow)]
+            del row[j]
+        found.append(level)
+    return found + [e] * (len(block) - len(found))
+
+
 def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     """The Smith diagonal of a, without the transforms.
 
@@ -177,15 +276,39 @@ def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     step goes on.  The entries so found are not yet in divisibility
     order; pairwise gcd and lcm, which keep the exponents of every prime
     as a multiset, sort them into the Smith diagonal, which is unique.
+
+    Euclid on a dense block without a ±1 grows its entries at every
+    step.  So at a step that finds no ±1 pivot, the third or later in a
+    row, a square trailing block of 9 x 9 to 64 x 64 with more than
+    three quarters of its entries nonzero is finished by
+    :func:`_tail_by_determinant` instead, at most once per reduction; if
+    the block is singular or its g cannot be factored, the loop goes on.
+    The gates keep on Euclid the tails that are sparse, which Bareiss
+    would fill in, or small, or whose steps without a ±1 come one or two
+    at a time, as on ladders; and a larger block waits until it is
+    64 x 64, since Bareiss on it can cost more than Euclid where the
+    entries grow slowly.
     """
     rows, cols = a.rows, a.cols
     d = a.row_list()
     found = []
+    misses, tried = 0, False  # steps in a row without a ±1; route run
     for t in range(min(rows, cols)):
         p = _unit_pivot(d, t)
         if p is None:
             break
         i, j = p
+        misses = 0 if d[i][j] in (1, -1) else misses + 1
+        n = rows - t
+        # Rows from t are zero before column t: their nonzero entries
+        # are those of the n x n block.
+        if (misses >= 3 and not tried and rows == cols and 9 <= n <= 64
+                and 4 * sum(rows - row.count(0) for row in d[t:]) > 3 * n * n):
+            tried = True
+            tail = _tail_by_determinant(d, t)
+            if tail is not None:
+                found += tail
+                break
         d[t], d[i] = d[i], d[t]
         while True:
             if j != t:

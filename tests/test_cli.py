@@ -225,6 +225,18 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert "edges" in captured.err and captured.out == ""
 
+    def test_no_digit_limit_still_bounds_the_analysis(self, tmp_path):
+        # With the interpreter's limit off, the default limit bounds the
+        # report: 3^(2 * 10^12) is refused, not computed.
+        doc = {"r": 3, "vertices": [{"id": "v0", "genus": 10**12}]}
+        result = TestOutputErrors.run_cli(["analyze", write(tmp_path, doc)], subprocess.PIPE,
+                                          PYTHONINTMAXSTRDIGITS="0")
+        limit = sys.int_info.default_max_str_digits
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("error: genus, r: ")
+        assert f"more than {limit} digits" in result.stderr
+        assert result.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("doc,field", [
         ({"r": "x" * 5_000_000, "vertices": [{"id": "v0"}]}, "r: expected integer, got string"),
         ({"name": json.loads("[" * 900 + "]" * 900), "r": 2}, "name: expected string, got array"),

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from math import gcd, prod
@@ -249,16 +250,23 @@ class TestKirchhoffMatrix:
         smith_normal_form.cache_clear()
         assert kirchhoff_chosen == with_loops == {True, False}
 
-    def test_oracles_at_benchmark_size(self):
+    def test_oracles_at_benchmark_size(self, monkeypatch):
         # The analyze-random shape: the Smith diagonal of the reordered
         # matrix against the matrix-tree count and the Smith form of the
-        # intersection matrix, both in vertex order.
+        # intersection matrix, both in vertex order.  Some of the
+        # reordered matrices end in a dense tail without ±1 pivots, which
+        # the determinant route finishes.
         rng = random.Random(21)
+        routed = []
+        route = homology._tail_by_determinant
+        monkeypatch.setattr(homology, "_tail_by_determinant",
+                            lambda d, t: routed.append(route(d, t)) or routed[-1])
         for _ in range(30):
             g = _unit_graph(rng, rng.randint(16, 64))
             diagonal = homology._smith_diagonal(kirchhoff_matrix(g))
             assert prod(d for d in diagonal if d) == spanning_tree_count(g)
             assert AbelianGroup(tuple(d for d in diagonal if d > 1)) == phi_group(g)
+        assert sum(tail is not None for tail in routed) >= 5
         smith_normal_form.cache_clear()
 
     def test_relabelling_keeps_the_group(self):
@@ -434,6 +442,124 @@ class TestSmithDiagonalOracle:
             )
             assert solvable == q**m.cols // len(kernel)
 
+    def test_determinant_route_against_the_transforms(self, monkeypatch):
+        # U diag(s) V with a planted Smith diagonal s and random
+        # unimodular U and V, of dimension 9-18, some doubled so that no
+        # ±1 is ever left, some singular, some whose g has two primes
+        # past 16 and some whose g keeps a prime past 2**32; dense
+        # matrices with no entry below 2; and, for the gates, doubled
+        # ones too small, sparse or not square.  The log checks that the
+        # route runs exactly when every gate lets it, and counts each
+        # branch and each gate that alone declines.
+        rng = random.Random(31)
+        rough = 2**32 + 15  # a prime that trial division below 2**16 leaves whole
+        cases = []
+        for n in range(9, 19):
+            cases += [_planted(rng, n), _planted(rng, n, scale=2),
+                      _planted(rng, n, scale=2, last=(0,)),
+                      _planted(rng, n, scale=2, last=(17 * 19,) * 3),
+                      _planted(rng, n, scale=2, last=(rough,) * 4)]
+            cases.append((IntMatrix([[rng.choice((-1, 1)) * rng.randint(2, 99)
+                                      for _ in range(n)] for _ in range(n)]), None))
+        wide, _ = _planted(rng, 12, scale=2)
+        cases.append((IntMatrix([row + [2 * rng.randint(1, 9)] for row in wide.row_list()]),
+                      None))
+        blocks = [_planted(rng, 3, scale=2)[0] for _ in range(4)]
+        cases.append((IntMatrix([[0] * (3 * b) + row + [0] * (9 - 3 * b)
+                                 for b, block in enumerate(blocks) for row in block.row_list()]),
+                      None))
+        log = _RouteLog(monkeypatch)
+        for m, planted in cases:
+            log.start()
+            diagonal = homology._smith_diagonal(m)
+            log.finish()
+            assert diagonal == main_diagonal(homology._eliminate(m)[1])
+            if planted is not None:
+                assert diagonal == planted
+        for branch in ("one", "modular", "singular", "rough",
+                       "streak", "size", "density", "square", "once"):
+            assert log.seen[branch], (branch, log.seen)
+
+
+class _RouteLog:
+    """Watches :func:`homology._smith_diagonal` through the functions it
+    calls by their module names: at each step, the gates of the
+    determinant route; then whether the route ran where they all let it,
+    and which branch it took."""
+
+    def __init__(self, monkeypatch):
+        self.seen = collections.Counter()
+        self.unit_pivot = homology._unit_pivot
+        self.route = homology._tail_by_determinant
+        self.exponents = homology._exponents_modulo
+        monkeypatch.setattr(homology, "_unit_pivot", self.watch_pivot)
+        monkeypatch.setattr(homology, "_tail_by_determinant", self.watch_route)
+        monkeypatch.setattr(homology, "_exponents_modulo", self.watch_exponents)
+
+    def start(self):
+        self.misses, self.tried, self.due, self.waited = 0, False, False, 0
+
+    def finish(self):
+        assert not self.due, "every gate let the route run, and it did not"
+
+    def watch_pivot(self, d, t):
+        self.finish()
+        p = self.unit_pivot(d, t)
+        if p is not None:
+            i, j = p
+            self.misses = 0 if abs(d[i][j]) == 1 else self.misses + 1
+            n, width = len(d) - t, len(d[0]) - t
+            nonzero = sum(1 for row in d[t:] for x in row[t:] if x)
+            declined = [name for name, passed in (
+                ("streak", self.misses >= 3), ("once", not self.tried),
+                ("square", n == width), ("size", 9 <= n <= 64),
+                ("density", 4 * nonzero > 3 * n * width)) if not passed]
+            if len(declined) == 1:
+                self.seen[declined[0]] += 1
+            self.waited += bool(declined) and set(declined) <= {"size", "density"}
+            self.due = not declined
+        return p
+
+    def watch_route(self, d, t):
+        assert self.due, "the route ran where a gate should have declined"
+        self.tried, self.due, self.modular = True, False, False
+        out = self.route(d, t)
+        block = IntMatrix([row[t:] for row in d[t:]])
+        if out is None:
+            self.seen["rough" if determinant(block) else "singular"] += 1
+        else:
+            self.seen["modular" if self.modular else "one"] += 1
+        return out
+
+    def watch_exponents(self, block, p, e):
+        self.modular = True
+        return self.exponents(block, p, e)
+
+
+def _unimodular(rng: random.Random, n: int) -> IntMatrix:
+    """A random n x n matrix of determinant ±1: 3n random row additions
+    with multipliers ±1 and ±2 to the identity, then a row shuffle."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        f = rng.choice((-2, -1, 1, 2))
+        m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+    rng.shuffle(m)
+    return IntMatrix(m)
+
+
+def _planted(rng: random.Random, n: int, scale: int = 1,
+             last: tuple[int, ...] = ()) -> tuple[IntMatrix, tuple[int, ...]]:
+    """U diag(s) V and s: s is a random divisibility chain of length n
+    whose last entries are multiplied by ``last``, times ``scale``."""
+    s, x = [], 1
+    for _ in range(n - len(last)):
+        x *= rng.choice((1, 1, 1, 1, 2, 3, 5, 6))
+        s.append(scale * x)
+    s += [scale * x * y for y in last]
+    diagonal = IntMatrix([[s[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return matmul(matmul(_unimodular(rng, n), diagonal), _unimodular(rng, n)), tuple(s)
+
 
 def _unit_graph(rng: random.Random, n: int) -> MultiGraph:
     """A random tree on n vertices plus n + 1 random edges (loops and
@@ -591,6 +717,75 @@ class TestSmithDiagonal:
             assert diagonal == main_diagonal(homology._eliminate(m)[1])
             if m in unit:
                 assert fallbacks and fallbacks[0] > 0
+
+    def test_ladder_never_takes_the_determinant_route(self, monkeypatch):
+        # The Gram matrix of the 2 x 200 unit ladder is dense and has no
+        # ±1, but Euclid leaves ±1 pivots after its first step: the steps
+        # without one are t = 0, 2, 3, 197 and 198.
+        def refuse(d, t):
+            raise AssertionError("the determinant route ran on the ladder")
+
+        monkeypatch.setattr(homology, "_tail_by_determinant", refuse)
+        g = _ladder(200)
+        gram = cycle_pairing_matrix(g, fundamental_cycle_basis(g))
+        assert gram.rows == 199
+        nontrivial = [x for x in homology._smith_diagonal(gram) if x > 1]
+        assert nontrivial == [x for x in homology._smith_diagonal(kirchhoff_matrix(g)) if x > 1]
+
+    @pytest.mark.parametrize("k", [10, 12])
+    def test_thick_grid_tails_wait_until_small_and_dense(self, monkeypatch, k):
+        # The tails of the k x k grid with thicknesses 1-32 (seed 1) lose
+        # their ±1 pivots while still sparse or larger than 64 x 64: the
+        # route waits there, and runs once they are small and dense,
+        # with the diagonal of the Euclid loop alone.
+        g = _thick_grid(k, random.Random(1))
+        for m in (kirchhoff_matrix(g), cycle_pairing_matrix(g, fundamental_cycle_basis(g))):
+            log = _RouteLog(monkeypatch)
+            log.start()
+            diagonal = homology._smith_diagonal(m)
+            log.finish()
+            assert log.waited and log.seen["one"] + log.seen["modular"] == 1
+            monkeypatch.setattr(homology, "_tail_by_determinant", lambda d, t: None)
+            assert diagonal == homology._smith_diagonal(m)
+            monkeypatch.undo()
+
+    def test_singular_dense_block_tries_the_route_once(self, monkeypatch):
+        # Every two of 12 vertices joined by 2, 4 or 6 unit edges: the
+        # intersection matrix is even, so it has no ±1, and singular, so
+        # the route is tried once, declines, and Euclid finishes.
+        rng = random.Random(33)
+        pairs = [(u, v) for u in range(12) for v in range(u + 1, 12)
+                 for _ in range(rng.choice((2, 4, 6)))]
+        g = MultiGraph(range(12), [(i, u, v) for i, (u, v) in enumerate(pairs)])
+        oracle = main_diagonal(homology._eliminate(intersection_matrix(g))[1])
+        calls = []
+        route = homology._tail_by_determinant
+        monkeypatch.setattr(homology, "_tail_by_determinant",
+                            lambda d, t: calls.append(route(d, t)) or calls[-1])
+        smith_normal_form.cache_clear()
+        phi = phi_group(g)
+        assert calls == [None]
+        assert phi == AbelianGroup(tuple(x for x in oracle if x > 1))
+
+
+def _ladder(n: int) -> MultiGraph:
+    """The 2 x n ladder at unit thickness, rails a and b, its edges listed
+    square by square: rung i, then the rail edges from a_i and b_i."""
+    pairs = []
+    for i in range(n - 1):
+        pairs += [(f"a{i}", f"b{i}"), (f"a{i}", f"a{i + 1}"), (f"b{i}", f"b{i + 1}")]
+    pairs.append((f"a{n - 1}", f"b{n - 1}"))
+    return MultiGraph([f"a{i}" for i in range(n)] + [f"b{i}" for i in range(n)],
+                      [(e, u, v) for e, (u, v) in enumerate(pairs)])
+
+
+def _thick_grid(k: int, rng: random.Random) -> MultiGraph:
+    """The k x k grid, rows of edges first, then columns, each edge of a
+    thickness drawn uniformly from 1-32 in that order."""
+    pairs = [(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)]
+    pairs += [(i * k + j, (i + 1) * k + j) for i in range(k - 1) for j in range(k)]
+    return MultiGraph(range(k * k), [(e, u, v) for e, (u, v) in enumerate(pairs)],
+                      edge_thickness={e: rng.randint(1, 32) for e in range(len(pairs))})
 
 
 class TestSolveMod:
