@@ -179,8 +179,15 @@ def _tail_by_determinant(d: list[list[int]], t: int) -> list[int] | None:
     s_{k-1}; s_k is |det T| over their product.  With g = 1 that is 1,
     ..., 1, |det T|.  The entries modulo p**e stay small, unlike those
     of a reduction modulo det T.
+
+    A T whose rows all sum to zero is singular, and is declined before
+    Bareiss: the tails of a Laplacian, such as the intersection matrix
+    that :func:`~nerongraph.component_group.phi_group` reduces, keep
+    that property while each pivot divides the rest of its row.
     """
     m = [row[t:] for row in d[t:]]
+    if not any(map(sum, m)):
+        return None
     k = len(m)
     previous = 1
     for p in range(k - 2):

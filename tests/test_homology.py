@@ -752,7 +752,15 @@ class TestSmithDiagonal:
     def test_singular_dense_block_tries_the_route_once(self, monkeypatch):
         # Every two of 12 vertices joined by 2, 4 or 6 unit edges: the
         # intersection matrix is even, so it has no ±1, and singular, so
-        # the route is tried once, declines, and Euclid finishes.
+        # the route is tried once, declines, and Euclid finishes.  Its
+        # rows sum to zero, which shows it singular before Bareiss: no
+        # product of a Bareiss step is formed.
+        class Unmultiplied(int):
+            def __mul__(self, other):
+                raise AssertionError("Bareiss ran on rows that sum to zero")
+
+            __rmul__ = __mul__
+
         rng = random.Random(33)
         pairs = [(u, v) for u in range(12) for v in range(u + 1, 12)
                  for _ in range(rng.choice((2, 4, 6)))]
@@ -766,6 +774,8 @@ class TestSmithDiagonal:
         phi = phi_group(g)
         assert calls == [None]
         assert phi == AbelianGroup(tuple(x for x in oracle if x > 1))
+        rows = [[Unmultiplied(x) for x in row] for row in intersection_matrix(g).row_list()]
+        assert route(rows, 0) is None
 
 
 def _ladder(n: int) -> MultiGraph:
