@@ -19,13 +19,12 @@ Two loops compute the Smith form.  :func:`_smith_diagonal` computes the
 diagonal alone: it clears each pivot's column by Euclid with quotients
 rounded to the nearest integer (Havas and Majewski, 1997), which
 changes a row below only at the nonzero columns of the pivot row, and
-the pivot's row to balanced remainders modulo the pivot, skips the
-divisibility step and puts the diagonal in divisibility order at the
-end by pairwise gcd and lcm.  A dense square tail left without ±1
-pivots is finished instead from its determinant and the gcd g of it
-and four of its minors, by Bareiss elimination and then elimination
-modulo the prime powers of g (:func:`_tail_by_determinant`), whose
-entries stay small where those of Euclid grow.
+the pivot's row to balanced remainders modulo the pivot, and skips the
+divisibility step; pairwise gcd and lcm order the diagonal at the end.
+A dense square tail left without ±1 pivots is finished instead from
+its determinant and the gcd g of it and four of its minors, by Bareiss
+elimination and then one Smith reduction modulo g, g unfactored and
+every entry below it (:func:`_tail_by_determinant`; Iliopoulos, 1989).
 The invariant factors (and so the component group) need nothing more,
 and :func:`smith_normal_form` memoises that diagonal and nothing else.
 :func:`_eliminate` computes D with the unimodular transforms U and V
@@ -45,7 +44,7 @@ non-negotiable here.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, check_modulus
@@ -165,20 +164,17 @@ def _unit_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
 
 def _tail_by_determinant(d: list[list[int]], t: int) -> list[int] | None:
     """The Smith diagonal of the square block T of d from (t, t), from
-    its determinant, or None when T is singular or when g below keeps a
-    factor of 2**32 or more once its primes below 2**16 are divided out.
-    d is not changed.
+    its determinant, or None when T is singular.  d is not changed.
 
     Bareiss elimination with row swaps gives det T, and after its step
     k - 3 the trailing 2x2 block holds four (k - 1)-minors of T, up to
     sign.  Their gcd g with det T is a multiple of the (k - 1)-th
     determinantal divisor s_1...s_{k-1}, and it divides det T.  So each
-    s_i with i < k divides g, and for each prime power p**e that exactly
-    divides g, the Smith diagonal of T modulo p**e
-    (:func:`_exponents_modulo`) holds the power of p in s_1, ...,
-    s_{k-1}; s_k is |det T| over their product.  With g = 1 that is 1,
-    ..., 1, |det T|.  The entries modulo p**e stay small, unlike those
-    of a reduction modulo det T.
+    s_i with i < k divides g, and is gcd(s_i, g): the Smith diagonal of
+    T modulo g (:func:`_smith_modulo`), with g whole and unfactored,
+    gives s_1, ..., s_{k-1}, and s_k is |det T| over their product.
+    With g = 1 that is 1, ..., 1, |det T|.  The entries modulo g stay
+    small, unlike those of a reduction modulo det T.
 
     A T whose rows all sum to zero is singular, and is declined before
     Bareiss: the tails of a Laplacian, such as the intersection matrix
@@ -208,60 +204,71 @@ def _tail_by_determinant(d: list[list[int]], t: int) -> list[int] | None:
     if not det:
         return None
     g = gcd(det, w, x, y, z)
-    powers, p = [], 2
-    while g > 1 and p * p <= g and p < 2**16:
-        e = 0
-        while g % p == 0:
-            g //= p
-            e += 1
-        if e:
-            powers.append((p, e))
-        p += 1
-    if g >= 2**32:
-        return None  # perhaps composite, with no factor below 2**16
-    if g > 1:
-        powers.append((g, 1))
-    block = [row[t:] for row in d[t:]]
-    factors = [1] * (k - 1)
-    for p, e in powers:
-        for i, v in enumerate(_exponents_modulo(block, p, e)[:-1]):
-            factors[i] *= p**v
-    rest = det
-    for s_i in factors:
-        rest //= s_i
-    return factors + [rest]
+    factors = _smith_modulo([row[t:] for row in d[t:]], g)[:-1] if g > 1 else [1] * (k - 1)
+    return factors + [det // prod(factors)]
 
 
-def _exponents_modulo(block: list[list[int]], p: int, e: int) -> list[int]:
-    """The exponents of the prime p in the Smith diagonal of the square
-    ``block`` modulo p**e, ascending: min(v_p(s_i), e) for each factor
-    s_i.  Entries stay below the modulus.  Each step divides every entry,
-    and the modulus, by the power of p in their gcd; an entry then prime
-    to p is a unit modulo what is left, and clears its column."""
-    q = p**e
-    m = [[x % q for x in row] for row in block]
-    found, level = [], 0
-    while m:
-        common = gcd(*(gcd(*row) for row in m))
-        if not common:
-            break  # every entry is 0 modulo q
-        v = 0
-        while common % p == 0:
-            common //= p
-            v += 1
-        if v:
-            m = [[x // p**v for x in row] for row in m]
-            q //= p**v
-            level += v
-        i, j = next((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x % p)
+def _smith_modulo(block: list[list[int]], n: int) -> list[int]:
+    """gcd(s_i, n) for each factor s_i of the Smith diagonal of the
+    square ``block``, in divisibility order, by row operations on its
+    entries modulo n, so that n is never factored (Iliopoulos, 1989).
+
+    Each step takes as pivot a the first unit modulo n, or else the
+    first entry that is not 0 modulo n.  While its column holds an x
+    that h = gcd(a, n) does not divide, a Bezout step on the two rows
+    makes gcd(a, x) the pivot, whose gcd with n is a proper divisor of
+    h.  Then every x of the column is a multiple of a modulo n, and its
+    row loses that multiple.  If h divides the pivot's row too, the row
+    and column leave and h is found; else the matrix is transposed,
+    which keeps its Smith form, and the row is cleared as a column.
+    Once every entry is 0 modulo n, each factor left is n.
+    """
+    m = [[x % n for x in row] for row in block]
+    found = []
+    while any(map(any, m)):
+        units = ((r, c) for r, row in enumerate(m) for c, x in enumerate(row) if gcd(x, n) == 1)
+        nonzero = ((r, c) for r, row in enumerate(m) for c, x in enumerate(row) if x)
+        i, j = next(units, None) or next(nonzero)
         prow = m.pop(i)
-        inverse = pow(prow[j], -1, q)
-        for r, row in enumerate(m):
-            if f := row[j] * inverse % q:
-                row = m[r] = [(x - f * y) % q for x, y in zip(row, prow)]
+        while True:
+            a = prow[j]
+            h = gcd(a, n)
+            r = next((r for r, row in enumerate(m) if row[j] % h), None)
+            if r is not None:  # s a + u x = b: a step of determinant 1
+                x = m[r][j]
+                b = gcd(a, x)
+                s = pow(a // b, -1, x // b)
+                u = (b - s * a) // x
+                m[r], prow = ([(a // b * y - x // b * z) % n for y, z in zip(m[r], prow)],
+                              [(s * z + u * y) % n for y, z in zip(m[r], prow)])
+                continue
+            inverse = pow(a // h, -1, n // h)
+            for r, row in enumerate(m):
+                if f := row[j] // h * inverse % n:
+                    m[r] = [(y - f * z) % n for y, z in zip(row, prow)]
+            if not any(y % h for y in prow):
+                break
+            m = [list(column) for column in zip(prow, *m)]
+            prow, j = m.pop(j), 0
+        for row in m:
             del row[j]
-        found.append(level)
-    return found + [e] * (len(block) - len(found))
+        found.append(h)
+    return _divisibility_order(found) + [n] * (len(block) - len(found))
+
+
+def _divisibility_order(found: list[int]) -> list[int]:
+    """The Smith diagonal of the diagonal matrix with entries ``found``:
+    pairwise gcd and lcm, which keep the exponents of every prime as a
+    multiset, put them in divisibility order, units first and zeros last
+    (gcd(0, y) is y), and that order is unique."""
+    rest = [x for x in found if x != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            x, y = rest[i], rest[j]
+            g = gcd(x, y)
+            if g != x:
+                rest[i], rest[j] = g, x // g * y
+    return [1] * (len(found) - len(rest)) + rest
 
 
 def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
@@ -281,15 +288,15 @@ def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     remainders modulo the pivot, which changes no other row; a
     remainder moves the column of the smallest one to column t, and the
     step goes on.  The entries so found are not yet in divisibility
-    order; pairwise gcd and lcm, which keep the exponents of every prime
-    as a multiset, sort them into the Smith diagonal, which is unique.
+    order; :func:`_divisibility_order` sorts them into the Smith
+    diagonal.
 
     Euclid on a dense block without a ±1 grows its entries at every
     step.  So at a step that finds no ±1 pivot, the third or later in a
     row, a square trailing block of 9 x 9 to 64 x 64 with more than
     three quarters of its entries nonzero is finished by
     :func:`_tail_by_determinant` instead, at most once per reduction; if
-    the block is singular or its g cannot be factored, the loop goes on.
+    the block is singular, the loop goes on.
     The gates keep on Euclid the tails that are sparse, which Bareiss
     would fill in, or small, or whose steps without a ±1 come one or two
     at a time, as on ladders; and a larger block waits until it is
@@ -354,15 +361,7 @@ def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
                 break
         found.append(abs(pivot))
 
-    rest = [x for x in found if x != 1]
-    for i in range(len(rest)):
-        for j in range(i + 1, len(rest)):
-            x, y = rest[i], rest[j]
-            g = gcd(x, y)
-            if g != x:
-                rest[i], rest[j] = g, x // g * y
-    units = len(found) - len(rest)
-    return (1,) * units + tuple(rest) + (0,) * (min(rows, cols) - len(found))
+    return tuple(_divisibility_order(found)) + (0,) * (min(rows, cols) - len(found))
 
 
 def _eliminate(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

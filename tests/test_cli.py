@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nerongraph import __version__
+from nerongraph import __version__, cli
 from nerongraph.cli import _machine_text, main, parse_input_document, report_document
 from nerongraph.invariants import MAX_PRESENTATION_DIMENSION, analyze
 
@@ -173,6 +173,47 @@ class TestAnalyze:
         path.write_text('{"r": 2, "vertices": [{"id": "v0", "genus": 0, "genus": 1}]}')
         assert main(["analyze", str(path)]) == 2
         assert "genus: duplicate key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("padding", [0, 10000])  # one chunk of 2**13, or two
+    def test_document_past_the_character_limit(self, tmp_path, capsys, monkeypatch,
+                                                padding):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(BANANA_DOC) + " " * padding)
+        path, size = str(path), len(path.read_text())
+        monkeypatch.setattr(cli, "_MAX_DOCUMENT_CHARS", size)
+        assert main(["analyze", path]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_MAX_DOCUMENT_CHARS", size - 1)
+        assert main(["analyze", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: longer than {size - 1} characters\n"
+        assert captured.out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_input_is_read_to_the_limit_alone(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_DOCUMENT_CHARS", 1000)
+        assert main(["analyze", "/dev/zero"]) == 2
+        assert capsys.readouterr().err == "error: /dev/zero: longer than 1000 characters\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_that_never_ends_is_refused(self, tmp_path):
+        # A writer that never stops: analyze, at the real limit, reads one
+        # character past it and exits 2 with one error line.
+        fifo = tmp_path / "endless"
+        os.mkfifo(fifo)
+        writer = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys\nwith open(sys.argv[1], 'w') as f:\n"
+             "    while True: f.write(' ' * 65536)", str(fifo)],
+            stderr=subprocess.DEVNULL)
+        try:
+            result = TestOutputErrors.run_cli(["analyze", str(fifo)], subprocess.PIPE)
+        finally:
+            writer.kill()
+            writer.wait()
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == (
+            f"error: {fifo}: longer than {cli._MAX_DOCUMENT_CHARS} characters\n")
 
     def test_not_utf8_text(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -4,7 +4,7 @@ import random
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nerongraph import (
@@ -446,21 +446,28 @@ class TestSmithDiagonalOracle:
         # U diag(s) V with a planted Smith diagonal s and random
         # unimodular U and V, of dimension 9-18, some doubled so that no
         # ±1 is ever left, some singular, some whose g has two primes
-        # past 16 and some whose g keeps a prime past 2**32; dense
-        # matrices with no entry below 2; and, for the gates, doubled
-        # ones too small, sparse or not square.  The log checks that the
-        # route runs exactly when every gate lets it, and counts each
-        # branch and each gate that alone declines.
+        # past 16, some whose g keeps the prime 2**32 + 15 and some the
+        # composite 65537 * 65539, which trial division below 2**16 would
+        # leave whole; dense matrices with no entry below 2; the
+        # Kirchhoff matrices of unit E = 2V graphs of benchmark size,
+        # three of whose tails have g = 2; and, for the gates,
+        # doubled ones too small, sparse or not square.  The log checks
+        # that the route runs exactly when every gate lets it, and
+        # counts each branch and each gate that alone declines.
         rng = random.Random(31)
-        rough = 2**32 + 15  # a prime that trial division below 2**16 leaves whole
+        prime, composite = 2**32 + 15, 65537 * 65539
         cases = []
         for n in range(9, 19):
             cases += [_planted(rng, n), _planted(rng, n, scale=2),
                       _planted(rng, n, scale=2, last=(0,)),
                       _planted(rng, n, scale=2, last=(17 * 19,) * 3),
-                      _planted(rng, n, scale=2, last=(rough,) * 4)]
+                      _planted(rng, n, scale=2, last=(prime,) * 4),
+                      _planted(rng, n, scale=2, last=(composite,) * 3)]
             cases.append((IntMatrix([[rng.choice((-1, 1)) * rng.randint(2, 99)
                                       for _ in range(n)] for _ in range(n)]), None))
+        unit = random.Random(42)
+        cases += [(kirchhoff_matrix(_unit_graph(unit, unit.randint(16, 64))), None)
+                  for _ in range(4)]
         wide, _ = _planted(rng, 12, scale=2)
         cases.append((IntMatrix([row + [2 * rng.randint(1, 9)] for row in wide.row_list()]),
                       None))
@@ -476,9 +483,12 @@ class TestSmithDiagonalOracle:
             assert diagonal == main_diagonal(homology._eliminate(m)[1])
             if planted is not None:
                 assert diagonal == planted
-        for branch in ("one", "modular", "singular", "rough",
+        for branch in ("one", "modular", "singular",
                        "streak", "size", "density", "square", "once"):
             assert log.seen[branch], (branch, log.seen)
+        assert log.moduli.count(2) >= 3
+        for factor in (prime, composite):
+            assert any(g % factor == 0 for g in log.moduli), factor
 
 
 class _RouteLog:
@@ -491,10 +501,11 @@ class _RouteLog:
         self.seen = collections.Counter()
         self.unit_pivot = homology._unit_pivot
         self.route = homology._tail_by_determinant
-        self.exponents = homology._exponents_modulo
+        self.modulo = homology._smith_modulo
+        self.moduli = []  # the g of every tail reduced modulo g
         monkeypatch.setattr(homology, "_unit_pivot", self.watch_pivot)
         monkeypatch.setattr(homology, "_tail_by_determinant", self.watch_route)
-        monkeypatch.setattr(homology, "_exponents_modulo", self.watch_exponents)
+        monkeypatch.setattr(homology, "_smith_modulo", self.watch_modulo)
 
     def start(self):
         self.misses, self.tried, self.due, self.waited = 0, False, False, 0
@@ -524,16 +535,17 @@ class _RouteLog:
         assert self.due, "the route ran where a gate should have declined"
         self.tried, self.due, self.modular = True, False, False
         out = self.route(d, t)
-        block = IntMatrix([row[t:] for row in d[t:]])
         if out is None:
-            self.seen["rough" if determinant(block) else "singular"] += 1
+            assert not determinant(IntMatrix([row[t:] for row in d[t:]]))
+            self.seen["singular"] += 1
         else:
             self.seen["modular" if self.modular else "one"] += 1
         return out
 
-    def watch_exponents(self, block, p, e):
+    def watch_modulo(self, block, n):
         self.modular = True
-        return self.exponents(block, p, e)
+        self.moduli.append(n)
+        return self.modulo(block, n)
 
 
 def _unimodular(rng: random.Random, n: int) -> IntMatrix:
@@ -645,6 +657,42 @@ def _large_matrices(draw):
     if rows > 1 and draw(st.booleans()):
         entries[-1] = [2 * x for x in entries[0]]
     return IntMatrix(entries, cols=cols)
+
+
+@st.composite
+def _square_and_modulus(draw):
+    """A square matrix of 0-5 rows and a modulus n: 1, a small prime or
+    prime power, a composite with repeated primes, the prime 2**32 + 15,
+    the composite 65537 * 65539, or one whose primes are all past 30,
+    which the entries, all nonzero then, are prime to.  Some matrices
+    are scaled by a factor that n shares, so that units run out."""
+    k = draw(st.integers(0, 5))
+    coprime = draw(st.booleans())
+    entry = st.integers(-30, 30).filter(bool) if coprime else st.integers(-30, 30)
+    rows = [[draw(entry) for _ in range(k)] for _ in range(k)]
+    if coprime:
+        return rows, draw(st.sampled_from((31, 37 * 41, 31**2 * 43)))
+    scale = draw(st.sampled_from((1, 1, 2, 6, 65537)))
+    n = draw(st.sampled_from((1, 2, 3, 5, 4, 8, 27, 12, 36, 72, 2**3 * 3**2 * 5**2,
+                              2**32 + 15, 65537 * 65539)))
+    return [[scale * x for x in row] for row in rows], n
+
+
+class TestSmithModulo:
+    """The Smith diagonal modulo an unfactored n, which finishes the
+    determinant route's tails, against the determinantal divisors."""
+
+    @given(_square_and_modulus())
+    @example(([[2, 3], [0, 0]], 6))  # a row cleared after a transposition
+    @example(([[2, 0], [3, 0]], 6))  # a Bezout step on two rows
+    @example(([[4, 6], [6, 9]], 1))
+    @settings(max_examples=400, deadline=None)
+    def test_against_the_determinantal_divisors(self, case):
+        rows, n = case
+        before = [row[:] for row in rows]
+        factors = homology._smith_modulo(rows, n)
+        assert rows == before
+        assert factors == [gcd(s, n) for s in invariant_factors(IntMatrix(rows, cols=len(rows)))]
 
 
 class TestSmithDiagonal:
